@@ -37,7 +37,13 @@ from .magtrans import Displacement, PathPolyline
 
 __all__ = ["SegmentSchedule", "DriveProtocol", "drift_displacement"]
 
-MAX_DT_PER_CYCLOTRON = 0.01  # dt must resolve the cyclotron phase to ~1%
+# Largest (and default) step, in units of 1/omega.  The exact-oscillator step
+# has no splitting bias, so dt only samples the drive.  Across dt in
+# [0.01, 0.2]/omega (README, "Time step"), slow-loop phases move by < 3e-7 rad
+# (ab loop, T = 200) and < 2e-5 rad (fig1 pair, T = 2000); 0.1 keeps a
+# factor of 2 below the largest step measured.  Fast drives must resolve
+# their ramps and pass an explicit dt.
+MAX_DT_PER_CYCLOTRON = 0.1
 
 
 def _ramp_progress_raw(tau: np.ndarray, Ts: float, Tr: float) -> np.ndarray:
@@ -99,7 +105,7 @@ class DriveProtocol:
     Use the constructors: from_path (everything in the experiment layer),
     from_fields (oracle tests, arbitrary smooth drives), or hold (no drive).
     Time stepping metadata lives here too: dt is snapped so that T is an
-    integer number of steps, and must resolve the cyclotron period.
+    integer number of steps, and is capped at MAX_DT_PER_CYCLOTRON / omega.
     """
 
     cfg: PhysicsConfig
@@ -119,7 +125,7 @@ class DriveProtocol:
         if self.dt > limit * (1.0 + 1e-9):
             raise ConfigError(
                 f"dt = {self.dt:.3e} exceeds the integrator resolution limit "
-                f"{limit:.3e} = 0.01/omega"
+                f"{limit:.3e} = {MAX_DT_PER_CYCLOTRON:g}/omega"
             )
         if not 0.0 <= self.ramp_fraction <= 0.5:
             raise ConfigError(f"ramp_fraction must be in [0, 0.5] (got {self.ramp_fraction})")

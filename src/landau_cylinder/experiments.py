@@ -29,9 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    ConfigError,
     CylinderGrid,
     NonCyclicEvolutionError,
     PhysicsConfig,
+    TruncationError,
     Wavefunction,
     inner_product,
     wrap_angle,
@@ -376,9 +378,10 @@ def run_fig1_comparison(
 
 def _sweep_worker(args) -> ExperimentResult:
     cfg, grid, spec, min_fidelity = args
+    # the package's own errors become failed rows; anything else is a bug and propagates
     try:
         return _run_spec(cfg, grid, spec, min_fidelity)
-    except Exception as exc:  # per-row failures must not kill the sweep
+    except (TruncationError, NonCyclicEvolutionError, ConfigError) as exc:
         return ExperimentResult(
             kind=spec.kind, phi=cfg.phi0, phi_B=float("nan"), n=spec.n, j=spec.j,
             T=spec.T, dt=float("nan"), gamma_measured=float("nan"),
@@ -420,10 +423,11 @@ def flux_sweep(
 ) -> SweepResult:
     """Repeat the winding loop over a flux grid.
 
-    Rows that fail are recorded with an error string and excluded from the
-    fit.  Work is distributed across processes when threads > 1; results
-    are collected in submission order, so the output is independent of the
-    worker count.
+    Rows that fail with the package's own errors (truncation, non-cyclic
+    return, bad configuration) are recorded with an error string and
+    excluded from the fit; any other exception propagates.  Work is
+    distributed across processes when threads > 1; results are collected
+    in submission order, so the output is independent of the worker count.
     """
     jobs = []
     for phi in phi_values:

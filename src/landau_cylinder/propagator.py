@@ -11,10 +11,15 @@ factorizes into independent 1D problems: mode j sees the potential
     V_j(y, t) = (hbar kappa_j - q A_x(y, t) / c)^2 / 2m - q E_y(t) y,
 
 a harmonic well of fixed frequency omega whose center rides the drift.
-evolve_tdse exploits this: it propagates only the occupied mode rows with
-Strang splitting (kinetic-y half steps via FFT, the (j, y) diagonal
-potential sampled at the step midpoint).  Each factor is unitary, so norm
-is conserved to rounding; accuracy is second order in dt.
+evolve_tdse exploits this: it propagates only the occupied mode rows, and
+over each step freezes the drive at the step midpoint, where V_j is the
+exact well m omega^2 (y - b)^2 / 2 + C.  The propagator of a frozen well
+factorizes exactly into kinetic-y factors of effective time
+tan(omega dt / 2) / omega (applied via FFT) around a potential factor
+weighted by sin(omega dt) / omega, so a static well is propagated without
+splitting error at any dt < pi / omega.  The only error left is second
+order in dt, from the drive's time dependence.  Each factor is unitary, so
+norm is conserved to rounding.
 
 evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
@@ -158,12 +163,18 @@ def evolve_tdse(
     record_every: Optional[int] = None,
     check_truncation: bool = True,
 ) -> EvolutionRecord:
-    """Integrate the TDSE over the protocol with Strang splitting.
+    """Integrate the TDSE over the protocol by exact-oscillator splitting.
 
     Only mode rows carrying probability are propagated (modes are exactly
     decoupled, so empty rows stay empty); the result is identical to
-    propagating the full stack.  Midpoint sampling of phi(t) and E_y(t)
-    keeps the scheme second order for the time-dependent drive.
+    propagating the full stack.  Each step samples phi(t) and E_y(t) at
+    its midpoint and applies the exact propagator of that frozen well:
+
+        e^{-i p^2 tau / 2 m hbar} e^{-i [sin(omega dt) / omega
+        m omega^2 (y - b)^2 / 2 + dt C] / hbar} e^{-i p^2 tau / 2 m hbar},
+
+    tau = tan(omega dt / 2) / omega.  A static well is therefore exact at
+    any step; the error is second order in dt through the drive alone.
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -176,22 +187,28 @@ def evolve_tdse(
         raise ValueError("initial state is empty")
     prof = stack.profiles[occ].copy()
     modes = grid.mode_numbers[occ]
-    kappas = stack.kappas[occ][:, None]
 
     dt, n_steps = protocol.dt, protocol.n_steps
     if record_every is None:
         record_every = max(1, n_steps // DEFAULT_RECORDS)
 
-    # time-independent pieces
+    # time-independent pieces: exact harmonic factors of one step
+    omega = cfg.omega
+    stiffness = cfg.m * omega**2
     y = grid.y[None, :]
-    kin_half = np.exp(-0.5j * cfg.hbar * grid.ky**2 * dt / (2.0 * cfg.m))[None, :]
+    tau_half = np.tan(0.5 * omega * dt) / omega
+    kin_half = np.exp(-1j * cfg.hbar * grid.ky**2 * tau_half / (2.0 * cfg.m))[None, :]
     kin_full = kin_half * kin_half
-    pi_static = cfg.hbar * kappas + cfg.q * cfg.B * y / cfg.c  # add -q phi/(l c) per step
+    well_phase = -1j * np.sin(omega * dt) / omega * stiffness / (2.0 * cfg.hbar)
 
-    # midpoint drive samples for every step, in one vectorized pass
+    # midpoint wells V = m omega^2 (y - b)^2 / 2 + C for every step and row,
+    # in one vectorized pass; a is the undriven well center at the midpoint flux
     t_mid = (np.arange(n_steps) + 0.5) * dt
-    phi_mid = np.asarray(protocol.flux(t_mid), dtype=float)
-    ey_mid = np.asarray(protocol.efield(t_mid)[1], dtype=float)
+    phi_mid = np.asarray(protocol.flux(t_mid), dtype=float)[:, None, None]
+    force = cfg.q * np.asarray(protocol.efield(t_mid)[1], dtype=float)[:, None, None]
+    a = mode_center(cfg, modes[:, None], phi=phi_mid, mode_offset=stack.mode_offset)
+    b = a + force / stiffness
+    const_phase = (-1j * dt / cfg.hbar) * (-force * a - force**2 / (2.0 * stiffness))
 
     times = [0.0]
     stats = [_series_stats(prof, modes, grid)]
@@ -203,9 +220,8 @@ def evolve_tdse(
     F *= kin_half
     for s in range(n_steps):
         psi_y = np.fft.ifft(F, axis=1)
-        pix = pi_static - cfg.q * phi_mid[s] / (cfg.l * cfg.c)
-        v = pix * pix / (2.0 * cfg.m) - (cfg.q * ey_mid[s]) * y
-        psi_y *= np.exp((-1j * dt / cfg.hbar) * v)
+        d = y - b[s]
+        psi_y *= np.exp(well_phase * (d * d) + const_phase[s])
         F = np.fft.fft(psi_y, axis=1)
         last = s == n_steps - 1
         if last or (s + 1) % record_every == 0:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,12 @@ def test_dt_snapped_to_divide_duration(cfg):
 def test_dt_capped_at_cyclotron_resolution(cfg):
     proto = DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, dt=0.5)
     assert proto.dt <= MAX_DT_PER_CYCLOTRON / cfg.omega * (1 + 1e-9)
+
+
+def test_dt_limit_message_names_the_cap(cfg):
+    limit = MAX_DT_PER_CYCLOTRON / cfg.omega
+    with pytest.raises(ConfigError, match=re.escape(f"= {MAX_DT_PER_CYCLOTRON:g}/omega")):
+        DriveProtocol(cfg=cfg, T=1.0, dt=2.0 * limit, n_steps=1)
 
 
 def test_invalid_inputs_raise(cfg):

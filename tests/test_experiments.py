@@ -5,6 +5,7 @@ from landau_cylinder import (
     NonCyclicEvolutionError,
     PathPolyline,
     berry_phase,
+    experiments,
     landau_eigenstate,
     landau_energy,
     wrap_angle,
@@ -146,6 +147,15 @@ def test_flux_sweep_records_row_failures(cfg, grid):
     sw = flux_sweep(cfg, grid, phis, T=25.0, min_fidelity=1.0)  # gate cannot pass
     assert all(r.error is not None for r in sw.rows)
     assert np.isnan(sw.slope)
+
+
+def test_flux_sweep_propagates_unexpected_errors(cfg, grid, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("bug in the stepper")
+
+    monkeypatch.setattr(experiments, "evolve_tdse", broken)
+    with pytest.raises(ZeroDivisionError):
+        flux_sweep(cfg, grid, [0.0, np.pi], T=25.0)
 
 
 def test_adiabatic_study_quick(cfg, grid):

@@ -15,7 +15,10 @@ from landau_cylinder import (
     landau_eigenstate,
     landau_energy,
     mode_center,
+    run_ab_loop,
+    wrap_angle,
 )
+from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON
 
 
 def closed_wiggle(T, dt=5e-4):
@@ -54,6 +57,32 @@ def test_static_evolution_phase(cfg, grid):
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
     expected = -landau_energy(cfg, 1) * 3.0 / cfg.hbar
     assert np.angle(overlap) == pytest.approx(np.angle(np.exp(1j * expected)), abs=1e-5)
+
+
+@pytest.mark.parametrize("refine", [1, 10])
+def test_hold_phase_exact_at_any_step(cfg, grid, refine):
+    # a static well is propagated without splitting bias: every level keeps
+    # exactly its E_n T / hbar phase at the step cap and below it (Strang
+    # splitting misses by (n + 1/2) omega T (omega dt)^2 / 24)
+    dt = MAX_DT_PER_CYCLOTRON / cfg.omega / refine
+    T = 20.0
+    proto = DriveProtocol.hold(cfg, T=T, dt=dt)
+    assert proto.dt == pytest.approx(dt)
+    for n in (0, 1, 2):
+        for j in (-1, 0, 1):
+            psi0 = landau_eigenstate(cfg, grid, n, j)
+            overlap = inner_product(psi0, evolve_tdse(psi0, proto).final_state)
+            phase = wrap_angle(np.angle(overlap) + landau_energy(cfg, n) * T / cfg.hbar)
+            assert abs(phase) < 1e-10, (n, j, phase)
+
+
+def test_ab_loop_phase_independent_of_dt(cfg, grid):
+    cap = MAX_DT_PER_CYCLOTRON / cfg.omega
+    gammas = [
+        run_ab_loop(cfg, grid, phi=np.pi / 2, T=200.0, dt=dt).gamma_measured
+        for dt in (cap, cap / 10)
+    ]
+    assert abs(wrap_angle(gammas[0] - gammas[1])) < 1e-6
 
 
 def test_tdse_matches_oracle_adiabatic(cfg, grid):
