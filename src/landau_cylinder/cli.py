@@ -5,7 +5,7 @@ Subcommands:
   run              one cyclic transport experiment (JSON + CSV row)
   sweep            Berry phase vs threading flux (CSV + fit JSON)
   adiabatic-study  phase/fidelity/factorization error vs drive duration
-  verify           fast internal consistency checks
+  verify           the self-check table of verify.py on its quick inputs
 
 All outputs are deterministic for a fixed config and seed: files embed the
 resolved config (never wall-clock data), floats are written with 17
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, CylinderGrid, PhysicsConfig, Wavefunction
+from .core import ConfigError, CylinderGrid, PhysicsConfig, Wavefunction, wrap_angle
 from .eigenstates import eigen_table, landau_energy
 from .experiments import (
     ExperimentResult,
@@ -253,7 +253,7 @@ def write_json(path: Path, payload: dict, conf: dict) -> None:
 
 
 def _result_report(tag: str, res: ExperimentResult) -> str:
-    err = abs((res.gamma_measured - res.gamma_predicted + math.pi) % (2 * math.pi) - math.pi)
+    err = abs(wrap_angle(res.gamma_measured - res.gamma_predicted))
     return (
         f"{tag}: gamma = {res.gamma_measured:+.6f}  predicted {res.gamma_predicted:+.6f}  "
         f"|diff| = {err:.2e}  fidelity = {res.fidelity:.6f}"
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", help="run one transport experiment")
     sub.add_parser("sweep", help="Berry phase vs threading flux")
     sub.add_parser("adiabatic-study", help="convergence with drive duration")
-    sub.add_parser("verify", help="internal consistency checks")
+    sub.add_parser("verify", help="self-checks on quick inputs")
     return parser
 
 

@@ -42,6 +42,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (
+    BOUNDARY_CELLS,
+    TRUNCATION_THRESHOLD,
     CylinderGrid,
     ModeStack,
     PhysicsConfig,
@@ -150,9 +152,9 @@ def _series_stats(prof: np.ndarray, modes: np.ndarray, grid: CylinderGrid):
     return np.sqrt(norm_sq), y_mean, float(np.angle(corr)) if corr != 0.0 else 0.0
 
 
-def _boundary_fraction(prof: np.ndarray, dy: float, cells: int = 4) -> float:
+def _boundary_fraction(prof: np.ndarray) -> float:
     w = np.abs(prof) ** 2
-    edge = w[:, :cells].sum() + w[:, -cells:].sum()
+    edge = w[:, :BOUNDARY_CELLS].sum() + w[:, -BOUNDARY_CELLS:].sum()
     total = w.sum()
     return float(edge / total) if total > 0 else 0.0
 
@@ -233,7 +235,7 @@ def evolve_tdse(
             rx_t, ry_t = protocol.displacement(t_now)
             rxs.append(float(rx_t))
             rys.append(float(ry_t))
-            if check_truncation and _boundary_fraction(prof, grid.dy) > 1e-10:
+            if check_truncation and _boundary_fraction(prof) > TRUNCATION_THRESHOLD:
                 raise TruncationError(
                     f"probability reached the y boundary at t = {t_now:.3f}; "
                     "widen the window or slow the drive"

@@ -4,6 +4,7 @@ import pytest
 
 from landau_cylinder.cli import DEFAULT_CONFIG, main, resolve_config
 from landau_cylinder.core import ConfigError
+from landau_cylinder.verify import CHECKS
 
 
 QUICK = {
@@ -159,3 +160,13 @@ def test_fig1_run_emits_both_rows(tmp_path, capsys):
 
 def test_bad_threads_rejected(capsys):
     assert main(["--threads", "0", "verify"]) == 2
+
+
+def test_verify_runs_every_quick_row(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--out", str(a), "verify"]) == 0
+    assert main(["--out", str(b), "--seed", "0", "verify"]) == 0
+    checks = json.loads((a / "verify.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [c.name for c in CHECKS if c.quick is not None]
+    assert all(c["passed"] for c in checks)
+    assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
