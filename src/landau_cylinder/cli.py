@@ -287,10 +287,7 @@ def _run_experiment(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
         return [run_ab_loop(cfg, grid, winding=e["winding"], **common)]
     if e["kind"] == "general_loop":
         return [run_general_loop(cfg, grid, height=e["height"], **common)]
-    pair = run_fig1_comparison(
-        cfg, grid, phi_B=e["phi_B"], T=e["T"], n=e["n"], j=e["j"], dt=e["dt"],
-        min_fidelity=e["min_fidelity"],
-    )
+    pair = run_fig1_comparison(cfg, grid, phi_B=e["phi_B"], **common)
     return [pair.blue, pair.green]
 
 
@@ -314,7 +311,7 @@ def cmd_sweep(conf: dict, out: Path, args) -> int:
     phis = np.linspace(s["phi_min"], s["phi_max"], s["num"])
     sweep = flux_sweep(
         cfg, grid, phis, T=e["T"], n=e["n"], j=e["j"], dt=e["dt"],
-        ramp_fraction=e["ramp_fraction"], threads=args.threads,
+        ramp_fraction=e["ramp_fraction"], winding=e["winding"], threads=args.threads,
         min_fidelity=e["min_fidelity"],
     )
     write_csv(out / "sweep.csv", ExperimentResult.CSV_COLUMNS,
@@ -326,7 +323,7 @@ def cmd_sweep(conf: dict, out: Path, args) -> int:
     }, conf)
     failures = [r for r in sweep.rows if r.error is not None]
     print(f"sweep over {len(sweep.rows)} flux points: slope = {sweep.slope:.9f} "
-          f"(ideal {cfg.q / (cfg.hbar * cfg.c):.9f}), {len(failures)} failed rows")
+          f"(ideal {e['winding'] * cfg.q / (cfg.hbar * cfg.c):.9f}), {len(failures)} failed rows")
     print(f"wrote {out / 'sweep.csv'}, {out / 'sweep.json'}")
     return 0 if not failures else 1
 
@@ -361,8 +358,7 @@ def cmd_study(conf: dict, out: Path, args) -> int:
         print(f"T = {r.T:9.2f}: gamma_error = {r.gamma_error:.3e}  "
               f"infidelity = {r.infidelity:.3e}  "
               f"raw_error = {r.gamma_raw_error:.3e}  "
-              f"factorization gap = "
-              + (f"{r.discrepancy_norm:.3e}" if r.discrepancy_norm is not None else "n/a"))
+              f"factorization gap = {r.discrepancy_norm:.3e}")
     print(f"wrote {out / 'study.csv'}, {out / 'study.json'}")
     return 0
 

@@ -1,16 +1,16 @@
 """Drive protocols: in-surface electric fields and the drift they produce.
 
-A protocol specifies E_x(t), E_y(t) for t in [0, T].  The induced guiding
-center drift is
+A protocol moves the guiding center along a polyline path in displacement
+space, or holds it still.  The in-plane field follows from the drift,
 
-    R_x(t) = (c/B) integral E_y dtau,      R_y(t) = -(c/B) integral E_x dtau,
+    E_x = -(B/c) dR_y/dt,      E_y = (B/c) dR_x/dt,
 
 and Faraday's law ties the threading flux to the axial drift,
-phi(t) = phi(0) + l B R_y(t).  Protocols are usually built from a polyline
-path: each segment is traversed in time proportional to its length with a
-sin^2 velocity turn-on/turn-off over a fraction of the segment duration
-(default 0.1), so the velocity vanishes at corners and the fields are
-continuous.  Field-callable protocols are supported for oracle tests.
+phi(t) = phi(0) + l B R_y(t).  Each segment is traversed in time
+proportional to its length with a sin^2 velocity turn-on/turn-off over a
+fraction of the segment duration (default 0.1), so the velocity vanishes
+at corners and the fields are continuous.  Drift, velocity, field and
+drift action all have closed forms.
 
 The drift kinetic action
 
@@ -26,8 +26,7 @@ bounded below by (m L^2 / 2 hbar T) for any drive covering length L.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
@@ -37,13 +36,16 @@ from .magtrans import Displacement, PathPolyline
 
 __all__ = ["SegmentSchedule", "DriveProtocol", "drift_displacement"]
 
-# Largest (and default) step, in units of 1/omega.  The exact-oscillator step
-# has no splitting bias, so dt only samples the drive.  Across dt in
-# [0.01, 0.2]/omega (README, "Time step"), slow-loop phases move by < 3e-7 rad
-# (ab loop, T = 200) and < 2e-5 rad (fig1 pair, T = 2000); 0.1 keeps a
-# factor of 2 below the largest step measured.  Fast drives must resolve
-# their ramps and pass an explicit dt.
+# Largest step, in units of 1/omega.  The exact-oscillator step has no
+# splitting bias, so dt only samples the drive.  Across dt in [0.01, 0.2]/omega
+# (README, "Time step"), slow-loop phases move by < 3e-7 rad (ab loop,
+# T = 200) and < 2e-5 rad (fig1 pair, T = 2000); 0.1 keeps a factor of 2
+# below the largest step measured.
 MAX_DT_PER_CYCLOTRON = 0.1
+
+# The default step also resolves the shortest ramp in this many steps, so
+# fast drives (ramps of a few hundredths) keep oracle-level accuracy.
+STEPS_PER_RAMP = 100
 
 
 def _ramp_progress_raw(tau: np.ndarray, Ts: float, Tr: float) -> np.ndarray:
@@ -100,12 +102,13 @@ class SegmentSchedule:
 
 @dataclass(frozen=True, eq=False)
 class DriveProtocol:
-    """A complete drive: either a scheduled path or explicit field callables.
+    """A complete drive: a scheduled polyline path, or no drive at all.
 
-    Use the constructors: from_path (everything in the experiment layer),
-    from_fields (oracle tests, arbitrary smooth drives), or hold (no drive).
-    Time stepping metadata lives here too: dt is snapped so that T is an
-    integer number of steps, and is capped at MAX_DT_PER_CYCLOTRON / omega.
+    Use the constructors: from_path (every loop and test drive) or hold
+    (no drive; path is None and segments is empty).  Time stepping metadata
+    lives here too: dt is snapped so that T is an integer number of steps,
+    and is capped at MAX_DT_PER_CYCLOTRON / omega.  When dt is not given it
+    also resolves the shortest ramp in STEPS_PER_RAMP steps.
     """
 
     cfg: PhysicsConfig
@@ -115,8 +118,6 @@ class DriveProtocol:
     ramp_fraction: float = 0.1
     path: Optional[PathPolyline] = None
     segments: tuple[SegmentSchedule, ...] = ()
-    ex: Optional[Callable] = None
-    ey: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.T <= 0.0:
@@ -133,11 +134,20 @@ class DriveProtocol:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def _steps_for(cfg: PhysicsConfig, T: float, dt: Optional[float]) -> tuple[float, int]:
+    def _steps_for(
+        cfg: PhysicsConfig,
+        T: float,
+        dt: Optional[float],
+        segments: tuple[SegmentSchedule, ...] = (),
+    ) -> tuple[float, int]:
         limit = MAX_DT_PER_CYCLOTRON / cfg.omega
         if dt is not None and dt <= 0.0:
             raise ConfigError(f"dt must be positive (got {dt})")
-        target = limit if dt is None else min(dt, limit)
+        if dt is None:
+            ramps = [s.ramp_time / STEPS_PER_RAMP for s in segments if s.ramp_time > 0.0]
+            target = min([limit] + ramps)
+        else:
+            target = min(dt, limit)
         n = max(1, int(np.ceil(T / target - 1e-12)))
         return T / n, n
 
@@ -154,7 +164,6 @@ class DriveProtocol:
         total = path.total_length
         if total == 0.0:
             raise ConfigError("path has zero length")
-        step, n = cls._steps_for(cfg, T, dt)
         segments = []
         t0 = 0.0
         for seg in path.segments:
@@ -168,23 +177,12 @@ class DriveProtocol:
                 )
             )
             t0 += duration
+        segments = tuple(segments)
+        step, n = cls._steps_for(cfg, T, dt, segments)
         return cls(
             cfg=cfg, T=T, dt=step, n_steps=n, ramp_fraction=ramp_fraction,
-            path=path, segments=tuple(segments),
+            path=path, segments=segments,
         )
-
-    @classmethod
-    def from_fields(
-        cls,
-        cfg: PhysicsConfig,
-        ex: Callable,
-        ey: Callable,
-        T: float,
-        dt: Optional[float] = None,
-    ) -> "DriveProtocol":
-        """Arbitrary smooth fields; callables must accept float or array t."""
-        step, n = cls._steps_for(cfg, T, dt)
-        return cls(cfg=cfg, T=T, dt=step, n_steps=n, ex=ex, ey=ey)
 
     @classmethod
     def hold(cls, cfg: PhysicsConfig, T: float, dt: Optional[float] = None) -> "DriveProtocol":
@@ -192,32 +190,11 @@ class DriveProtocol:
         step, n = cls._steps_for(cfg, T, dt)
         return cls(cfg=cfg, T=T, dt=step, n_steps=n)
 
-    @property
-    def is_field_built(self) -> bool:
-        return self.ex is not None
-
-    # -- field-built quadrature table ------------------------------------
-
-    @cached_property
-    def _field_table(self):
-        """Cumulative drift on a half-step grid (field-built protocols only)."""
-        nodes = 2 * self.n_steps + 1
-        t = np.linspace(0.0, self.T, nodes)
-        scale = self.cfg.c / self.cfg.B
-        vx = scale * np.asarray(self.ey(t), dtype=float)
-        vy = -scale * np.asarray(self.ex(t), dtype=float)
-        rx = integrate.cumulative_simpson(vx, x=t, initial=0.0)
-        ry = integrate.cumulative_simpson(vy, x=t, initial=0.0)
-        return t, rx, ry
-
     # -- kinematics -------------------------------------------------------
 
     def displacement(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Guiding-center drift (R_x, R_y) at time(s) t."""
         t = np.asarray(t, dtype=float)
-        if self.is_field_built:
-            nodes, rx, ry = self._field_table
-            return np.interp(t, nodes, rx), np.interp(t, nodes, ry)
         rx = np.zeros_like(t)
         ry = np.zeros_like(t)
         for seg in self.segments:
@@ -228,9 +205,6 @@ class DriveProtocol:
 
     def velocity(self, t) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=float)
-        if self.is_field_built:
-            scale = self.cfg.c / self.cfg.B
-            return scale * np.asarray(self.ey(t), float), -scale * np.asarray(self.ex(t), float)
         vx = np.zeros_like(t)
         vy = np.zeros_like(t)
         for seg in self.segments:
@@ -241,9 +215,6 @@ class DriveProtocol:
 
     def efield(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(E_x, E_y) at time(s) t."""
-        if self.is_field_built:
-            t = np.asarray(t, dtype=float)
-            return np.asarray(self.ex(t), float), np.asarray(self.ey(t), float)
         vx, vy = self.velocity(t)
         scale = self.cfg.B / self.cfg.c
         return -scale * vy, scale * vx
@@ -254,39 +225,11 @@ class DriveProtocol:
         return self.cfg.phi0 + self.cfg.l * self.cfg.B * ry
 
     def drift_action(self) -> float:
-        """(m / 2 hbar) integral |Rdot|^2 dt, the drift kinetic action.
-
-        Closed form for scheduled paths; adaptive quadrature otherwise.
-        """
+        """(m / 2 hbar) integral |Rdot|^2 dt, the drift kinetic action (closed form)."""
         pref = self.cfg.m / (2.0 * self.cfg.hbar)
-        if not self.is_field_built:
-            return pref * sum(
-                seg.delta.length**2 * seg.squared_weight_integral for seg in self.segments
-            )
-
-        def speed_sq(t):
-            vx, vy = self.velocity(t)
-            return vx**2 + vy**2
-
-        value, _ = integrate.quad(speed_sq, 0.0, self.T, epsabs=1e-13, epsrel=1e-11, limit=400)
-        return pref * value
-
-    def realized_path(self, samples: int = 4097) -> Optional[PathPolyline]:
-        """The drift path as a polyline; exact for scheduled paths.
-
-        None for drives that never move the guiding center (then the net
-        displacement and the swept area are both zero).
-        """
-        if not self.is_field_built:
-            return self.path
-        t = np.linspace(0.0, self.T, samples)
-        rx, ry = self.displacement(t)
-        pts = [(0.0, 0.0)]
-        for x, y in zip(rx[1:], ry[1:]):
-            p = (float(x), float(y))
-            if p != pts[-1]:
-                pts.append(p)
-        return PathPolyline.from_points(pts) if len(pts) >= 2 else None
+        return pref * sum(
+            seg.delta.length**2 * seg.squared_weight_integral for seg in self.segments
+        )
 
 
 def drift_displacement(protocol: DriveProtocol, t: float) -> Displacement:

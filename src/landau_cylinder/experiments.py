@@ -368,11 +368,14 @@ def run_fig1_comparison(
     n: int = 0,
     j: int = 0,
     dt: Optional[float] = None,
+    ramp_fraction: float = 0.1,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
 ) -> Fig1Comparison:
     cfg = _with_flux(cfg, phi)
-    blue = run_loop(cfg, grid, fig1_loop_spec(cfg, "blue", phi_B, T, n, j, dt), min_fidelity)
-    green = run_loop(cfg, grid, fig1_loop_spec(cfg, "green", phi_B, T, n, j, dt), min_fidelity)
+    blue, green = (
+        run_loop(cfg, grid, fig1_loop_spec(cfg, v, phi_B, T, n, j, dt, ramp_fraction), min_fidelity)
+        for v in ("blue", "green")
+    )
     return Fig1Comparison(blue=blue, green=green)
 
 
@@ -418,10 +421,11 @@ def flux_sweep(
     j: int = 0,
     dt: Optional[float] = None,
     ramp_fraction: float = 0.1,
+    winding: int = 1,
     threads: int = 1,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
 ) -> SweepResult:
-    """Repeat the winding loop over a flux grid.
+    """Repeat the winding loop over a flux grid; the ideal slope is winding q / hbar c.
 
     Rows that fail with the package's own errors (truncation, non-cyclic
     return, bad configuration) are recorded with an error string and
@@ -432,7 +436,8 @@ def flux_sweep(
     jobs = []
     for phi in phi_values:
         c = replace(cfg, phi0=float(phi))
-        jobs.append((c, grid, ab_loop_spec(c, T, n, j, dt, ramp_fraction), min_fidelity))
+        spec = ab_loop_spec(c, T, n, j, dt, ramp_fraction, winding)
+        jobs.append((c, grid, spec, min_fidelity))
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -459,7 +464,7 @@ class StudyRow:
     gamma_error: float
     infidelity: float
     gamma_raw_error: float
-    discrepancy_norm: Optional[float]
+    discrepancy_norm: float
     result: ExperimentResult
 
 
@@ -477,7 +482,7 @@ class StudyResult:
 
     @property
     def discrepancies(self) -> np.ndarray:
-        return np.array([r.discrepancy_norm for r in self.rows], dtype=float)
+        return np.array([r.discrepancy_norm for r in self.rows])
 
 
 def adiabatic_study(
@@ -488,7 +493,6 @@ def adiabatic_study(
     j: int = 0,
     dt: Optional[float] = None,
     ramp_fraction: float = 0.1,
-    include_factorized: bool = True,
 ) -> StudyResult:
     """Convergence of the phase readout and the factorization with T.
 
@@ -499,17 +503,14 @@ def adiabatic_study(
     for T in T_values:
         spec = ab_loop_spec(cfg, float(T), n, j, dt, ramp_fraction)
         result, psi0, record, protocol = _run_spec(cfg, grid, spec, min_fidelity=0.0, keep_states=True)
-        disc = None
-        if include_factorized:
-            report = factorized_evolution(psi0, protocol, tdse_state=record.final_state)
-            disc = report.discrepancy_norm
+        report = factorized_evolution(psi0, protocol, tdse_state=record.final_state)
         rows.append(
             StudyRow(
                 T=float(T),
                 gamma_error=abs(wrap_angle(result.gamma_measured - result.gamma_predicted)),
                 infidelity=1.0 - result.fidelity,
                 gamma_raw_error=abs(wrap_angle(result.gamma_raw - result.gamma_predicted)),
-                discrepancy_norm=disc,
+                discrepancy_norm=report.discrepancy_norm,
                 result=result,
             )
         )

@@ -159,12 +159,7 @@ def _boundary_fraction(prof: np.ndarray) -> float:
     return float(edge / total) if total > 0 else 0.0
 
 
-def evolve_tdse(
-    psi0: Wavefunction,
-    protocol: DriveProtocol,
-    record_every: Optional[int] = None,
-    check_truncation: bool = True,
-) -> EvolutionRecord:
+def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     """Integrate the TDSE over the protocol by exact-oscillator splitting.
 
     Only mode rows carrying probability are propagated (modes are exactly
@@ -177,6 +172,8 @@ def evolve_tdse(
 
     tau = tan(omega dt / 2) / omega.  A static well is therefore exact at
     any step; the error is second order in dt through the drive alone.
+    About DEFAULT_RECORDS samples of the series are recorded, and each
+    raises TruncationError if probability has reached the y boundary.
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -191,8 +188,7 @@ def evolve_tdse(
     modes = grid.mode_numbers[occ]
 
     dt, n_steps = protocol.dt, protocol.n_steps
-    if record_every is None:
-        record_every = max(1, n_steps // DEFAULT_RECORDS)
+    stride = max(1, n_steps // DEFAULT_RECORDS)
 
     # time-independent pieces: exact harmonic factors of one step
     omega = cfg.omega
@@ -226,7 +222,7 @@ def evolve_tdse(
         psi_y *= np.exp(well_phase * (d * d) + const_phase[s])
         F = np.fft.fft(psi_y, axis=1)
         last = s == n_steps - 1
-        if last or (s + 1) % record_every == 0:
+        if last or (s + 1) % stride == 0:
             F *= kin_half
             prof = np.fft.ifft(F, axis=1)
             t_now = (s + 1) * dt
@@ -235,7 +231,7 @@ def evolve_tdse(
             rx_t, ry_t = protocol.displacement(t_now)
             rxs.append(float(rx_t))
             rys.append(float(ry_t))
-            if check_truncation and _boundary_fraction(prof) > TRUNCATION_THRESHOLD:
+            if _boundary_fraction(prof) > TRUNCATION_THRESHOLD:
                 raise TruncationError(
                     f"probability reached the y boundary at t = {t_now:.3f}; "
                     "widen the window or slow the drive"
@@ -404,7 +400,7 @@ def factorized_evolution(
 
     D = exp(-i H(0) T / hbar) acts per mode in the oscillator eigenbasis of
     the initial well (n <= n_max, expansion completeness enforced); M(C) is
-    the path-ordered magnetic translation along the realized drift path;
+    the path-ordered magnetic translation along the protocol's path;
     g = exp(i q B R_y(T) x / hbar c) restores single-valuedness when the
     drift ends off axis.  Pass tdse_state to reuse an existing run.
     """
@@ -441,11 +437,10 @@ def factorized_evolution(
 
     psi_d = Wavefunction.from_modes(ModeStack(grid, profiles, stack.mode_offset))
 
-    path = protocol.realized_path()
-    if path is None:
+    if protocol.path is None:
         psi_m = psi_d
     else:
-        result = path_ordered_translation(psi_d, path, cfg, check_truncation=False)
+        result = path_ordered_translation(psi_d, protocol.path, cfg, check_truncation=False)
         psi_m = result.state * np.exp(1j * result.accumulated_phase)
 
     _, ry_T = protocol.displacement(protocol.T)

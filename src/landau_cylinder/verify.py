@@ -37,7 +37,7 @@ from .magtrans import (
     sequential_translation,
     translate_x,
 )
-from .propagator import apply_hamiltonian, evolve_oracle, evolve_tdse
+from .propagator import apply_hamiltonian, evolve_oracle, evolve_tdse, expectation_energy
 
 __all__ = ["Check", "CHECKS", "run_all_checks"]
 
@@ -331,15 +331,8 @@ def check_energy_invariance(cfg, grid, rng):
     psi = _random_state(cfg, grid, rng)
     step = cfg.translation_step
     moved = apply_displacement(psi, Displacement(0.0, -2.0 * step), cfg)
-    e0 = _energy(psi, cfg)
-    e1 = _energy(moved, cfg)
-    err = abs(e1 - e0)
+    err = abs(expectation_energy(moved, cfg) - expectation_energy(psi, cfg))
     return err < 1e-9, f"energy shift under quantized y-translation {err:.2e}"
-
-
-def _energy(psi, cfg):
-    hpsi = apply_hamiltonian(psi, cfg)
-    return float(np.real(inner_product(psi, hpsi)) / psi.norm_sq())
 
 
 def check_swept_area(cfg, grid, rng):

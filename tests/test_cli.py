@@ -158,6 +158,35 @@ def test_fig1_run_emits_both_rows(tmp_path, capsys):
     assert results[1]["phi_B"] == pytest.approx(-0.5)
 
 
+def test_fig1_run_uses_ramp_fraction(tmp_path, capsys):
+    actions = []
+    for ramp in (0.1, 0.2):
+        payload = dict(QUICK)
+        payload["experiment"] = {"kind": "fig1", "T": 25.0, "dt": 0.05, "phi_B": 0.5,
+                                 "ramp_fraction": ramp, "min_fidelity": 0.0}
+        out = tmp_path / str(ramp)
+        out.mkdir()
+        cfgfile = write_config(out, payload)
+        assert main(["--config", str(cfgfile), "--out", str(out), "run"]) == 0
+        results = json.loads((out / "run.json").read_text())["results"]
+        actions.append([r["drift_action"] for r in results])
+    # a longer ramp at the same T raises the drift action
+    assert all(b > a for a, b in zip(*actions))
+
+
+def test_sweep_uses_winding(tmp_path, capsys):
+    payload = dict(QUICK)
+    payload["experiment"] = {"T": 25.0, "winding": 2, "min_fidelity": 0.0}
+    # flux step pi/4: the phase steps by pi/2, so it unwraps unambiguously
+    payload["sweep"] = {"phi_min": 0.0, "phi_max": 3.141592653589793, "num": 5}
+    cfgfile = write_config(tmp_path, payload)
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path), "sweep"]) == 0
+    assert "(ideal 2.000000000)" in capsys.readouterr().out
+    sweep = json.loads((tmp_path / "sweep.json").read_text())
+    assert abs(sweep["slope"] - 2.0) < 1e-5
+    assert all(r["enclosed_flux_total"] == pytest.approx(2 * r["phi"]) for r in sweep["rows"])
+
+
 def test_bad_threads_rejected(capsys):
     assert main(["--threads", "0", "verify"]) == 2
 

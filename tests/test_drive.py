@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landau_cylinder import ConfigError, DriveProtocol, PathPolyline, drift_displacement
-from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON
+from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON, STEPS_PER_RAMP
 
 
 def ab_path(cfg):
@@ -131,35 +131,6 @@ def test_multi_segment_time_allocation(cfg):
     assert proto.segments[1].t_start == pytest.approx(30.0)
 
 
-# --- field-built protocols ------------------------------------------------
-
-
-def test_from_fields_constant_ey(cfg):
-    # constant E_y drives R_x = (c/B) E_y t linearly
-    e0 = 0.01
-    proto = DriveProtocol.from_fields(
-        cfg, ex=lambda t: np.zeros_like(t), ey=lambda t: np.full_like(t, e0), T=20.0
-    )
-    rx, ry = proto.displacement(14.0)
-    assert float(rx) == pytest.approx(cfg.c / cfg.B * e0 * 14.0, rel=1e-9)
-    assert float(ry) == pytest.approx(0.0, abs=1e-12)
-    assert proto.drift_action() == pytest.approx(
-        cfg.m / (2 * cfg.hbar) * (cfg.c / cfg.B * e0) ** 2 * 20.0, rel=1e-7
-    )
-
-
-def test_from_fields_matches_path_protocol(cfg):
-    base = DriveProtocol.from_path(cfg, ab_path(cfg), T=50.0)
-    rebuilt = DriveProtocol.from_fields(
-        cfg, ex=lambda t: base.efield(t)[0], ey=lambda t: base.efield(t)[1], T=50.0
-    )
-    for t in (7.0, 25.0, 43.0):
-        a = base.displacement(t)
-        b = rebuilt.displacement(t)
-        assert float(a[0]) == pytest.approx(float(b[0]), abs=1e-8)
-        assert float(a[1]) == pytest.approx(float(b[1]), abs=1e-8)
-
-
 # --- validation and stepping -----------------------------------------------
 
 
@@ -172,6 +143,22 @@ def test_dt_snapped_to_divide_duration(cfg):
 def test_dt_capped_at_cyclotron_resolution(cfg):
     proto = DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, dt=0.5)
     assert proto.dt <= MAX_DT_PER_CYCLOTRON / cfg.omega * (1 + 1e-9)
+
+
+def test_default_dt_resolves_shortest_ramp(cfg):
+    cap = MAX_DT_PER_CYCLOTRON / cfg.omega
+    # slow loop: ramps of 20 leave the cap in charge
+    assert DriveProtocol.from_path(cfg, ab_path(cfg), T=200.0).dt == cap
+    # fast drive: the short segment's ramp of 0.1 * 1.5 sets the step
+    path = PathPolyline(((0.0, 0.0), (3.0, 0.0), (3.0, 1.0)))
+    proto = DriveProtocol.from_path(cfg, path, T=6.0)
+    assert proto.dt == pytest.approx(0.15 / STEPS_PER_RAMP, rel=1e-12)
+    assert proto.n_steps * proto.dt == pytest.approx(6.0, rel=1e-15)
+    # no ramps to resolve: the cap again
+    assert DriveProtocol.from_path(cfg, path, T=6.0, ramp_fraction=0.0).dt == cap
+    assert DriveProtocol.hold(cfg, T=6.0).dt == cap
+    # an explicit dt is kept as given
+    assert DriveProtocol.from_path(cfg, path, T=6.0, dt=0.01).dt == pytest.approx(0.01)
 
 
 def test_dt_limit_message_names_the_cap(cfg):
@@ -197,14 +184,4 @@ def test_hold_protocol(cfg):
     np.testing.assert_array_equal(ex, 0.0)
     np.testing.assert_array_equal(ey, 0.0)
     assert proto.drift_action() == 0.0
-    assert proto.realized_path() is None
-
-
-def test_realized_path_endpoints(cfg):
-    path = PathPolyline(((0.0, 0.0), (0.4, 0.7), (1.0, 0.0)))
-    proto = DriveProtocol.from_path(cfg, path, T=30.0)
-    realized = proto.realized_path()
-    assert realized.vertices[0] == (0.0, 0.0)
-    end = realized.vertices[-1]
-    assert end[0] == pytest.approx(1.0, abs=1e-10)
-    assert end[1] == pytest.approx(0.0, abs=1e-10)
+    assert proto.path is None

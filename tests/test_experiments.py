@@ -159,7 +159,7 @@ def test_flux_sweep_propagates_unexpected_errors(cfg, grid, monkeypatch):
 
 
 def test_adiabatic_study_quick(cfg, grid):
-    st = adiabatic_study(cfg, grid, [25.0, 50.0], include_factorized=True)
+    st = adiabatic_study(cfg, grid, [25.0, 50.0])
     assert st.rows[1].gamma_error < st.rows[0].gamma_error
     assert st.rows[1].infidelity < st.rows[0].infidelity
     assert st.rows[1].discrepancy_norm < st.rows[0].discrepancy_norm

@@ -35,15 +35,17 @@ def test_expectation_energy_on_levels(cfg, grid):
 
 
 def test_hamiltonian_with_field_tilts_well(cfg, grid):
-    # adding -qE_y y shifts <H> by -qE_y <y> at fixed state
+    # an ab loop moves along x only, so the flux stays phi0 and the drive
+    # adds just -qE_y y: <H> shifts by -qE_y <y> at fixed state
     psi = landau_eigenstate(cfg, grid, 0, -1)
-    proto = DriveProtocol.from_fields(
-        cfg, ex=lambda t: np.zeros_like(t), ey=lambda t: np.full_like(t, 0.02), T=10.0
-    )
+    proto = DriveProtocol.from_path(cfg, PathPolyline(((0.0, 0.0), (cfg.l, 0.0))), T=100.0)
+    t = 50.0  # cruise phase, between the ramps
+    ey = float(proto.efield(t)[1])
+    assert ey == pytest.approx(cfg.B / cfg.c * cfg.l / 90.0, rel=1e-12)
     h0 = apply_hamiltonian(psi, cfg)
-    h1 = apply_hamiltonian(psi, cfg, protocol=proto, t=5.0)
+    h1 = apply_hamiltonian(psi, cfg, protocol=proto, t=t)
     de = np.real(inner_product(psi, h1) - inner_product(psi, h0))
-    assert de == pytest.approx(-cfg.q * 0.02 * psi.expectation_y(), rel=1e-10)
+    assert de == pytest.approx(-cfg.q * ey * psi.expectation_y(), rel=1e-10)
 
 
 # --- TDSE vs exact oracle ---------------------------------------------------
@@ -108,6 +110,18 @@ def test_tdse_matches_oracle_violent(cfg, grid):
     assert abs(np.angle(overlap)) < 1e-5
 
 
+def test_default_dt_matches_oracle_on_fast_drive(cfg, grid):
+    # a criterion-7-style drive (ramps of 0.1) needs no explicit dt
+    pts, T, _ = closed_wiggle(T=4.0)
+    proto = DriveProtocol.from_path(cfg, PathPolyline(pts), T=T)
+    psi0 = displaced_gaussian(cfg, grid, j=1, center=mode_center(cfg, 1) + 0.5, momentum=-0.4, n=1)
+    num = evolve_tdse(psi0, proto).final_state
+    ora = evolve_oracle(psi0, proto).final_state
+    overlap = inner_product(num, ora)
+    assert abs(1.0 - abs(overlap)) < 1e-6
+    assert abs(np.angle(overlap)) < 1e-6
+
+
 def test_oracle_rejects_multimode(cfg, grid):
     a = landau_eigenstate(cfg, grid, 0, 0)
     b = landau_eigenstate(cfg, grid, 0, 1)
@@ -137,7 +151,7 @@ def test_evolution_record_contents(cfg, grid):
     path = PathPolyline(((0.0, 0.0), (0.0, 1.5)))
     proto = DriveProtocol.from_path(cfg, path, T=30.0, dt=0.005)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
-    rec = evolve_tdse(psi0, proto, record_every=600)
+    rec = evolve_tdse(psi0, proto)
     assert rec.times[0] == 0.0
     assert rec.times[-1] == pytest.approx(30.0)
     assert rec.norm_drift < 1e-12
