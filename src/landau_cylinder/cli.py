@@ -10,6 +10,10 @@ Subcommands:
 All outputs are deterministic for a fixed config and seed: files embed the
 resolved config (never wall-clock data), floats are written with 17
 significant digits, and worker count does not affect results.
+
+Exit status: 0 on success; 1 on a physics failure (truncation or a
+non-cyclic return), a failed sweep row or a failed check; 2 on a usage or
+config error.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, CylinderGrid, PhysicsConfig, Wavefunction, wrap_angle
+from .core import (
+    ConfigError,
+    CylinderGrid,
+    NonCyclicEvolutionError,
+    PhysicsConfig,
+    TruncationError,
+    Wavefunction,
+    wrap_angle,
+)
 from .eigenstates import eigen_table, landau_energy
 from .experiments import (
     ExperimentResult,
@@ -452,6 +464,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NonCyclicEvolutionError, TruncationError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ __all__ = [
     "ModeStack",
     "inner_product",
     "wrap_angle",
+    "edge_fraction",
 ]
 
 BOUNDARY_CELLS = 4
@@ -78,6 +79,13 @@ def wrap_angle(angle):
     if np.isscalar(wrapped) or wrapped.ndim == 0:
         return float(wrapped - 2.0 * np.pi) if wrapped > np.pi else float(wrapped)
     return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+
+
+def edge_fraction(density: np.ndarray, cells: int = BOUNDARY_CELLS) -> float:
+    """Fraction of a density array (y along the last axis) within `cells` of the y edges."""
+    edge = density[..., :cells].sum() + density[..., -cells:].sum()
+    total = density.sum()
+    return float(edge / total) if total > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -317,10 +325,7 @@ class Wavefunction:
 
     def boundary_mass(self, cells: int = BOUNDARY_CELLS) -> float:
         """Fraction of probability within `cells` grid cells of the y edges."""
-        rho = self.probability_density()
-        edge = rho[:, :cells].sum() + rho[:, -cells:].sum()
-        total = rho.sum()
-        return float(edge / total) if total > 0.0 else 0.0
+        return edge_fraction(self.probability_density(), cells)
 
     def check_truncation(self, threshold: float = TRUNCATION_THRESHOLD) -> None:
         mass = self.boundary_mass()

@@ -106,9 +106,10 @@ class DriveProtocol:
 
     Use the constructors: from_path (every loop and test drive) or hold
     (no drive; path is None and segments is empty).  Time stepping metadata
-    lives here too: dt is snapped so that T is an integer number of steps,
-    and is capped at MAX_DT_PER_CYCLOTRON / omega.  When dt is not given it
-    also resolves the shortest ramp in STEPS_PER_RAMP steps.
+    lives here too: dt is snapped so that T is an integer number of steps
+    (n_steps * dt = T is checked), and is capped at MAX_DT_PER_CYCLOTRON /
+    omega.  When dt is not given it also resolves the shortest ramp in
+    STEPS_PER_RAMP steps.
     """
 
     cfg: PhysicsConfig
@@ -127,6 +128,10 @@ class DriveProtocol:
             raise ConfigError(
                 f"dt = {self.dt:.3e} exceeds the integrator resolution limit "
                 f"{limit:.3e} = {MAX_DT_PER_CYCLOTRON:g}/omega"
+            )
+        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.T) > 1e-9 * self.T:
+            raise ConfigError(
+                f"n_steps * dt = {self.n_steps} * {self.dt:.6e} does not cover T = {self.T}"
             )
         if not 0.0 <= self.ramp_fraction <= 0.5:
             raise ConfigError(f"ramp_fraction must be in [0, 0.5] (got {self.ramp_fraction})")

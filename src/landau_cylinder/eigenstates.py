@@ -1,4 +1,4 @@
-"""Landau eigenstates on the cylinder and periodized planar states.
+"""Landau eigenstates on the cylinder.
 
 In the gauge A_x = -B y + phi / l each x mode j sees a shifted harmonic
 well: completing the square in the mode Hamiltonian
@@ -16,7 +16,6 @@ every center up by one spacing (spectral flow j -> j - 1).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,12 @@ __all__ = [
     "hermite_profile",
     "oscillator_profiles",
     "mode_center",
+    "mode_well",
     "landau_energy",
     "landau_eigenstate",
     "displaced_gaussian",
     "LandauLevelState",
     "eigen_table",
-    "PlanarCoherentState",
-    "periodized_planar_state",
 ]
 
 
@@ -72,6 +70,18 @@ def mode_center(cfg: PhysicsConfig, j: int, phi=None, mode_offset: float = 0.0) 
     phi = cfg.phi0 if phi is None else phi
     kappa = 2.0 * np.pi * (j + mode_offset) / cfg.l
     return phi / (cfg.l * cfg.B) - cfg.hbar * kappa * cfg.c / (cfg.q * cfg.B)
+
+
+def mode_well(cfg: PhysicsConfig, j, phi, ey, mode_offset: float = 0.0):
+    """Center b and offset C of mode j's well m omega^2 (y - b)^2 / 2 + C.
+
+    Completing the square in (hbar kappa_j - q A_x / c)^2 / 2m - q E_y y at
+    flux phi and axial field E_y; j, phi and ey broadcast against each other.
+    """
+    stiffness = cfg.m * cfg.omega**2
+    a = mode_center(cfg, j, phi=phi, mode_offset=mode_offset)
+    force = cfg.q * ey
+    return a + force / stiffness, -force * a - force**2 / (2.0 * stiffness)
 
 
 def landau_energy(cfg: PhysicsConfig, n: int) -> float:
@@ -162,87 +172,3 @@ def eigen_table(
                 )
             )
     return rows
-
-
-@dataclass(frozen=True)
-class PlanarCoherentState:
-    """Ground-level coherent state of the planar Landau problem.
-
-    In the planar problem (same gauge, x unrestricted) the lowest-level
-    coherent state centered at (x0, y0) has the closed form
-
-        Psi(x, y) = exp[i kappa_0 x - i (x-x0)(y-y0) / (2 lB^2)]
-                    exp[-((x-x0)^2 + (y-y0)^2) / (4 lB^2)],
-
-    with kappa_0 = q phi/(hbar l c) - y0/lB^2 picked so the guiding center
-    sits at y0.  It is a Gaussian superposition over the continuous mode
-    wavevector, hence an exact E_0 eigenstate, localized isotropically with
-    density width lB.  Shrinks as B grows.
-    """
-
-    x0: float
-    y0: float
-
-    def x_sigma(self, cfg: PhysicsConfig) -> float:
-        return cfg.magnetic_length
-
-    def evaluate(self, cfg: PhysicsConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        lb2 = cfg.magnetic_length**2
-        kappa0 = cfg.q * cfg.phi0 / (cfg.hbar * cfg.l * cfg.c) - self.y0 / lb2
-        dx = x - self.x0
-        dy = y - self.y0
-        return np.exp(
-            1j * kappa0 * x - 1j * dx * dy / (2.0 * lb2) - (dx**2 + dy**2) / (4.0 * lb2)
-        )
-
-
-def periodized_planar_state(
-    cfg: PhysicsConfig,
-    grid: CylinderGrid,
-    planar,
-    terms: int | None = None,
-    overlap_tol: float = 1e-6,
-) -> Wavefunction:
-    """Wrap a localized planar eigenstate onto the cylinder.
-
-    Superposes plain x translates, C sum_k Psi(x - k l, y), which commutes
-    with the x-translation-invariant Hamiltonian, so eigenstates periodize
-    to eigenstates.  The planar state must be localized well inside one
-    circumference; if adjacent translates overlap by more than overlap_tol
-    (relative) a warning is emitted but the sum is still returned.
-
-    `planar` needs an ``evaluate(cfg, x, y) -> complex array`` method and an
-    ``x_sigma(cfg) -> float`` width estimate (PlanarCoherentState, or any
-    object with the same duck type).
-    """
-    sigma = planar.x_sigma(cfg)
-    if sigma >= cfg.l / 2.0:
-        raise ConfigError(
-            f"planar state x width {sigma:.3f} is not localized within half a "
-            f"circumference {cfg.l / 2:.3f}"
-        )
-    if terms is None:
-        terms = int(np.ceil(6.0 * sigma / cfg.l)) + 1
-
-    X = grid.x[:, None]
-    Y = grid.y[None, :]
-    u = np.zeros((grid.Nx, grid.Ny), dtype=complex)
-    for k in range(-terms, terms + 1):
-        u += planar.evaluate(cfg, X - k * cfg.l, Y)
-
-    # Relative overlap of neighbor translates, on a doubled non-periodic
-    # x window so the cross term is fully captured.
-    x_wide = np.concatenate([grid.x - cfg.l, grid.x])[:, None]
-    f0 = planar.evaluate(cfg, x_wide, Y)
-    f1 = planar.evaluate(cfg, x_wide - cfg.l, Y)
-    norm0 = np.sum(np.abs(f0) ** 2)
-    overlap = abs(np.vdot(f0, f1)) / norm0 if norm0 > 0 else 0.0
-    if overlap > overlap_tol:
-        warnings.warn(
-            f"adjacent periodization terms overlap at {overlap:.2e} "
-            f"(tolerance {overlap_tol:.0e}); the result is still an eigenstate "
-            "but no longer resembles the planar input",
-            stacklevel=2,
-        )
-
-    return Wavefunction(grid, u).normalized()

@@ -403,14 +403,6 @@ class SweepResult:
     slope: float
     intercept: float
 
-    @property
-    def phis(self) -> np.ndarray:
-        return np.array([r.phi for r in self.rows])
-
-    @property
-    def gammas_unwrapped(self) -> np.ndarray:
-        return np.array([r.gamma_unwrapped for r in self.rows])
-
 
 def flux_sweep(
     cfg: PhysicsConfig,

@@ -13,13 +13,17 @@ factorizes into independent 1D problems: mode j sees the potential
 a harmonic well of fixed frequency omega whose center rides the drift.
 evolve_tdse exploits this: it propagates only the occupied mode rows, and
 over each step freezes the drive at the step midpoint, where V_j is the
-exact well m omega^2 (y - b)^2 / 2 + C.  The propagator of a frozen well
-factorizes exactly into kinetic-y factors of effective time
+exact well m omega^2 (y - b)^2 / 2 + C (mode_well gives b and C, here
+and in evolve_oracle and factorized_evolution).  The propagator of a
+frozen well factorizes exactly into kinetic-y factors of effective time
 tan(omega dt / 2) / omega (applied via FFT) around a potential factor
 weighted by sin(omega dt) / omega, so a static well is propagated without
 splitting error at any dt < pi / omega.  The only error left is second
 order in dt, from the drive's time dependence.  Each factor is unitary, so
-norm is conserved to rounding.
+norm is conserved to rounding.  evolve_tdse returns the final state and the
+norm drift; the norm and the boundary mass are checked at about
+CHECK_SAMPLES evenly spaced steps and at the last one, and probability at
+the y boundary raises TruncationError.
 
 evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
@@ -34,7 +38,6 @@ reported discrepancy is the footprint of the neglected U_eps.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,17 +45,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (
-    BOUNDARY_CELLS,
     TRUNCATION_THRESHOLD,
-    CylinderGrid,
     ModeStack,
     PhysicsConfig,
     TruncationError,
     Wavefunction,
+    edge_fraction,
     inner_product,
 )
 from .drive import DriveProtocol
-from .eigenstates import hermite_profile, mode_center, oscillator_profiles
+from .eigenstates import hermite_profile, mode_well, oscillator_profiles
 from .magtrans import path_ordered_translation
 
 __all__ = [
@@ -66,8 +68,9 @@ __all__ = [
     "factorized_evolution",
 ]
 
-DEFAULT_RECORDS = 256
+CHECK_SAMPLES = 256
 OCCUPATION_THRESHOLD = 1e-14
+ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
 
 
 def apply_hamiltonian(
@@ -112,51 +115,17 @@ def expectation_energy(
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
-    """TDSE run result: final state plus a sampled time series.
+    """TDSE run result: the final state and the step it was reached with.
 
-    The series columns are time, drift displacement (R_x, R_y), norm, mean
-    axial position, and the circular x centroid angle.  norm_drift is the
-    largest deviation of the recorded norms from the initial norm; the
-    stepper is unitary so this measures accumulated rounding only.
-    wall_time is informational and is never serialized.
+    norm_drift is the largest deviation of the norm, sampled at about
+    CHECK_SAMPLES evenly spaced steps and at the last one, from the initial
+    norm; the stepper is unitary, so this measures accumulated rounding only.
     """
 
     final_state: Wavefunction
-    times: np.ndarray
-    rx: np.ndarray
-    ry: np.ndarray
-    norms: np.ndarray
-    y_means: np.ndarray
-    x_angles: np.ndarray
     dt: float
     n_steps: int
-    wall_time: float
-
-    @property
-    def norm_drift(self) -> float:
-        return float(np.max(np.abs(self.norms - self.norms[0])))
-
-
-def _series_stats(prof: np.ndarray, modes: np.ndarray, grid: CylinderGrid):
-    """(norm, <y>, x centroid angle) from occupied mode profiles."""
-    dy = grid.dy
-    weights = np.abs(prof) ** 2
-    norm_sq = float(weights.sum() * dy)
-    y_mean = float((weights.sum(axis=0) * grid.y).sum() * dy / norm_sq)
-    row_of = {int(m): i for i, m in enumerate(modes)}
-    corr = 0.0 + 0.0j
-    for m, i in row_of.items():
-        up = row_of.get(m + 1)
-        if up is not None:
-            corr += np.vdot(prof[up], prof[i]) * dy
-    return np.sqrt(norm_sq), y_mean, float(np.angle(corr)) if corr != 0.0 else 0.0
-
-
-def _boundary_fraction(prof: np.ndarray) -> float:
-    w = np.abs(prof) ** 2
-    edge = w[:, :BOUNDARY_CELLS].sum() + w[:, -BOUNDARY_CELLS:].sum()
-    total = w.sum()
-    return float(edge / total) if total > 0 else 0.0
+    norm_drift: float
 
 
 def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
@@ -172,8 +141,9 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
 
     tau = tan(omega dt / 2) / omega.  A static well is therefore exact at
     any step; the error is second order in dt through the drive alone.
-    About DEFAULT_RECORDS samples of the series are recorded, and each
-    raises TruncationError if probability has reached the y boundary.
+    Every max(1, n_steps // CHECK_SAMPLES) steps and at the last step the
+    norm is sampled for norm_drift, and TruncationError is raised if
+    probability has reached the y boundary.
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -188,7 +158,7 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     modes = grid.mode_numbers[occ]
 
     dt, n_steps = protocol.dt, protocol.n_steps
-    stride = max(1, n_steps // DEFAULT_RECORDS)
+    stride = max(1, n_steps // CHECK_SAMPLES)
 
     # time-independent pieces: exact harmonic factors of one step
     omega = cfg.omega
@@ -199,21 +169,14 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     kin_full = kin_half * kin_half
     well_phase = -1j * np.sin(omega * dt) / omega * stiffness / (2.0 * cfg.hbar)
 
-    # midpoint wells V = m omega^2 (y - b)^2 / 2 + C for every step and row,
-    # in one vectorized pass; a is the undriven well center at the midpoint flux
+    # midpoint wells for every step and row, in one vectorized pass
     t_mid = (np.arange(n_steps) + 0.5) * dt
     phi_mid = np.asarray(protocol.flux(t_mid), dtype=float)[:, None, None]
-    force = cfg.q * np.asarray(protocol.efield(t_mid)[1], dtype=float)[:, None, None]
-    a = mode_center(cfg, modes[:, None], phi=phi_mid, mode_offset=stack.mode_offset)
-    b = a + force / stiffness
-    const_phase = (-1j * dt / cfg.hbar) * (-force * a - force**2 / (2.0 * stiffness))
+    ey_mid = np.asarray(protocol.efield(t_mid)[1], dtype=float)[:, None, None]
+    b, c = mode_well(cfg, modes[:, None], phi_mid, ey_mid, stack.mode_offset)
+    const_phase = (-1j * dt / cfg.hbar) * c
 
-    times = [0.0]
-    stats = [_series_stats(prof, modes, grid)]
-    rx0, ry0 = protocol.displacement(0.0)
-    rxs, rys = [float(rx0)], [float(ry0)]
-
-    start = time.perf_counter()
+    norms = [np.sqrt(float((np.abs(prof) ** 2).sum() * grid.dy))]
     F = np.fft.fft(prof, axis=1)
     F *= kin_half
     for s in range(n_steps):
@@ -225,39 +188,27 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
         if last or (s + 1) % stride == 0:
             F *= kin_half
             prof = np.fft.ifft(F, axis=1)
-            t_now = (s + 1) * dt
-            times.append(t_now)
-            stats.append(_series_stats(prof, modes, grid))
-            rx_t, ry_t = protocol.displacement(t_now)
-            rxs.append(float(rx_t))
-            rys.append(float(ry_t))
-            if _boundary_fraction(prof) > TRUNCATION_THRESHOLD:
+            w = np.abs(prof) ** 2
+            norms.append(np.sqrt(float(w.sum() * grid.dy)))
+            if edge_fraction(w) > TRUNCATION_THRESHOLD:
                 raise TruncationError(
-                    f"probability reached the y boundary at t = {t_now:.3f}; "
+                    f"probability reached the y boundary at t = {(s + 1) * dt:.3f}; "
                     "widen the window or slow the drive"
                 )
             if not last:
                 F *= kin_half
         else:
             F *= kin_full
-    wall = time.perf_counter() - start
 
     full = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     full[occ] = prof
     final = Wavefunction.from_modes(ModeStack(grid, full, stack.mode_offset))
-
-    norms, y_means, x_angles = (np.array([s[k] for s in stats]) for k in range(3))
+    norms = np.array(norms)
     return EvolutionRecord(
         final_state=final,
-        times=np.array(times),
-        rx=np.array(rxs),
-        ry=np.array(rys),
-        norms=norms,
-        y_means=y_means,
-        x_angles=x_angles,
         dt=dt,
         n_steps=n_steps,
-        wall_time=wall,
+        norm_drift=float(np.max(np.abs(norms - norms[0]))),
     )
 
 
@@ -266,21 +217,11 @@ class OracleResult:
     """Exact reference evolution of a displaced eigenstate."""
 
     final_state: Wavefunction
-    times: np.ndarray
-    y_cl: np.ndarray
-    p_cl: np.ndarray
-    action: np.ndarray
     n: int
     j: int
 
 
-def evolve_oracle(
-    psi0: Wavefunction,
-    protocol: DriveProtocol,
-    samples: int = 129,
-    rtol: float = 1e-12,
-    atol: float = 1e-13,
-) -> OracleResult:
+def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     """Exact evolution for a displaced oscillator eigenstate in one mode.
 
     The mode potential is a rigid harmonic well plus a linear drive, so the
@@ -335,23 +276,19 @@ def evolve_oracle(
         )
 
     theta = stack.mode_offset
-
-    def well_center(t):
-        return mode_center(cfg, j, phi=float(protocol.flux(t)), mode_offset=theta)
+    stiffness = cfg.m * omega**2
 
     def rhs(t, z):
+        # the well m omega^2 (y - b)^2 / 2 + C is the linear drive f y plus c
         yc, pc, _ = z
-        a = well_center(t)
-        ey = float(protocol.efield(t)[1])
-        f = cfg.m * omega**2 * a + cfg.q * ey
-        c_num = 0.5 * cfg.m * omega**2 * a * a
-        lagr = pc * pc / (2.0 * cfg.m) - 0.5 * cfg.m * omega**2 * yc * yc + f * yc
-        return [pc / cfg.m, -cfg.m * omega**2 * yc + f, lagr - c_num]
+        b, c = mode_well(cfg, j, float(protocol.flux(t)), float(protocol.efield(t)[1]), theta)
+        f = stiffness * b
+        lagr = pc * pc / (2.0 * cfg.m) - 0.5 * stiffness * yc * yc + f * yc
+        return [pc / cfg.m, -stiffness * yc + f, lagr - (c + 0.5 * f * b)]
 
-    t_eval = np.linspace(0.0, protocol.T, samples)
     sol = solve_ivp(
-        rhs, (0.0, protocol.T), [y_bar, p_bar, 0.0],
-        method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval, max_step=protocol.T / 16,
+        rhs, (0.0, protocol.T), [y_bar, p_bar, 0.0], method="DOP853",
+        rtol=ORACLE_RTOL, atol=ORACLE_ATOL, max_step=protocol.T / 16,
     )
     if not sol.success:
         raise RuntimeError(f"classical oracle integration failed: {sol.message}")
@@ -364,10 +301,7 @@ def evolve_oracle(
     profiles[row] = norm0 * np.exp(1j * phase) * prof_T
     final = Wavefunction.from_modes(ModeStack(grid, profiles, theta))
 
-    return OracleResult(
-        final_state=final, times=sol.t, y_cl=sol.y[0], p_cl=sol.y[1],
-        action=sol.y[2], n=n, j=j,
-    )
+    return OracleResult(final_state=final, n=n, j=j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,9 +353,7 @@ def factorized_evolution(
     completeness = 1.0
     for row in occ:
         j = int(grid.mode_numbers[row])
-        a0 = mode_center(cfg, j, phi=cfg.phi0, mode_offset=stack.mode_offset)
-        center = a0 + cfg.q * ey0 / (cfg.m * omega**2)
-        e_shift = -cfg.q * ey0 * a0 - (cfg.q * ey0) ** 2 / (2.0 * cfg.m * omega**2)
+        center, e_shift = mode_well(cfg, j, cfg.phi0, ey0, stack.mode_offset)
         basis = oscillator_profiles(cfg, grid.y, center, n_max)
         chi = stack.profiles[row]
         coeffs = basis @ chi * grid.dy

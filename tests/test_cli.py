@@ -119,6 +119,16 @@ def test_run_deterministic(tmp_path, capsys):
     assert abs(result["gamma_measured"] - result["gamma_predicted"]) < 0.1
 
 
+@pytest.mark.parametrize("experiment, error", [
+    ({"T": 5.0, "min_fidelity": 0.9999}, "NonCyclicEvolutionError"),
+    ({"kind": "general_loop", "height": 11.0}, "TruncationError"),
+], ids=["noncyclic", "truncation"])
+def test_run_physics_failure_exits_1(tmp_path, capsys, experiment, error):
+    cfgfile = write_config(tmp_path, {"experiment": experiment})
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path), "run"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+
 def test_run_csv_column_order(tmp_path, capsys):
     cfgfile = write_config(tmp_path, QUICK)
     assert main(["--config", str(cfgfile), "--out", str(tmp_path), "run"]) == 0

@@ -14,6 +14,7 @@ from landau_cylinder import (
     landau_eigenstate,
     wrap_angle,
 )
+from landau_cylinder.core import edge_fraction
 
 
 # --- wrap_angle -------------------------------------------------------
@@ -186,6 +187,11 @@ def test_linear_x_phase_composition(a1, a2):
 def test_boundary_mass_small_for_centered_state(cfg, grid):
     psi = landau_eigenstate(cfg, grid, 0, 0)
     assert psi.boundary_mass() < 1e-14
+    # two of ten units of density sit in the edge cells, one at each end
+    density = np.zeros((2, grid.Ny))
+    density[0, 0] = density[1, -1] = 1.0
+    density[:, grid.Ny // 2] = 4.0
+    assert edge_fraction(density) == 0.2
 
 
 def test_expectation_y(cfg, grid):

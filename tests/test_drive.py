@@ -167,6 +167,13 @@ def test_dt_limit_message_names_the_cap(cfg):
         DriveProtocol(cfg=cfg, T=1.0, dt=2.0 * limit, n_steps=1)
 
 
+def test_steps_must_cover_duration(cfg):
+    assert DriveProtocol(cfg=cfg, T=10.0, dt=0.05, n_steps=200).n_steps == 200
+    for n in (3, 0):
+        with pytest.raises(ConfigError, match="does not cover T"):
+            DriveProtocol(cfg=cfg, T=10.0, dt=0.05, n_steps=n)
+
+
 def test_invalid_inputs_raise(cfg):
     with pytest.raises(ConfigError):
         DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, dt=-0.1)

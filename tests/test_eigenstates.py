@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +7,6 @@ from landau_cylinder import (
     ConfigError,
     CylinderGrid,
     PhysicsConfig,
-    PlanarCoherentState,
     Wavefunction,
     apply_hamiltonian,
     displaced_gaussian,
@@ -18,7 +16,6 @@ from landau_cylinder import (
     landau_energy,
     mode_center,
     oscillator_profiles,
-    periodized_planar_state,
 )
 
 
@@ -154,51 +151,3 @@ def test_eigen_table_shape_and_order(cfg, grid):
     keys = [(e.n, e.j) for e in table]
     assert keys == sorted(keys)
     assert table[0].energy == pytest.approx(0.5)
-
-
-# --- periodized planar states ------------------------------------------
-
-
-def test_periodized_state_mode_envelope(cfg, grid):
-    # periodizing samples the planar state's x-Fourier transform at kappa_j;
-    # for a coherent state the weights are exp(-l_B^2 (kappa_j - kappa_0)^2)
-    # with kappa_0 = q phi / (hbar l c) - y0 / l_B^2
-    y0 = 0.35
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        psi = periodized_planar_state(cfg, grid, PlanarCoherentState(x0=1.0, y0=y0))
-    weights = psi.to_modes().mode_norms_sq()
-    kappa0 = cfg.q * cfg.phi0 / (cfg.hbar * cfg.l * cfg.c) - y0 / cfg.magnetic_length**2
-    kappas = grid.kappas(0.0)
-    for j in (-1, 0, 1):
-        row, nxt = grid.mode_row(j), grid.mode_row(j + 1)
-        expected = np.exp(
-            -cfg.magnetic_length**2 * ((kappas[nxt] - kappa0) ** 2 - (kappas[row] - kappa0) ** 2)
-        )
-        assert weights[nxt] / weights[row] == pytest.approx(expected, rel=1e-6)
-
-
-def test_periodized_state_norm_near_unity(cfg, grid):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        psi = periodized_planar_state(cfg, grid, PlanarCoherentState(x0=0.0, y0=0.0))
-    assert psi.norm() == pytest.approx(1.0, abs=1e-3)
-
-
-def test_periodized_overlap_warning_depends_on_field(cfg):
-    # l_B = 1 on the reference cylinder: neighbor overlap ~ e^{-pi^2} beats
-    # the 1e-6 gate and must warn; at B = 4 the state is twice as narrow
-    # and the overlap is ~1e-17, silent
-    grid = CylinderGrid.for_config(cfg, Nx=64, Ny=512)
-    with pytest.warns(UserWarning):
-        periodized_planar_state(cfg, grid, PlanarCoherentState(x0=0.0, y0=0.0))
-    sharp = replace(cfg, B=4.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        periodized_planar_state(sharp, grid, PlanarCoherentState(x0=0.0, y0=0.0))
-
-
-def test_periodized_state_rejects_wide_packet(cfg, grid):
-    wide = replace(cfg, B=0.05)  # l_B = sqrt(20) > l/2
-    with pytest.raises(ConfigError):
-        periodized_planar_state(wide, grid, PlanarCoherentState(x0=0.0, y0=0.0))
