@@ -9,7 +9,7 @@ Subcommands:
 
 All outputs are deterministic for a fixed config and seed: files embed the
 resolved config (never wall-clock data), floats are written with 17
-significant digits, and worker count does not affect results.
+significant digits.
 
 Exit status: 0 on success; 1 on a physics failure (truncation or a
 non-cyclic return), a failed sweep row or a failed check; 2 on a usage or
@@ -38,11 +38,13 @@ from .core import (
 from .eigenstates import eigen_table, landau_energy
 from .experiments import (
     ExperimentResult,
+    LoopSpec,
+    ab_loop_spec,
     adiabatic_study,
     flux_sweep,
-    run_ab_loop,
+    rectangle_loop_spec,
     run_fig1_comparison,
-    run_general_loop,
+    run_loop,
 )
 from .propagator import apply_hamiltonian
 from .verify import run_all_checks
@@ -197,8 +199,9 @@ def resolve_config(raw: dict) -> dict:
     eig = _section(raw, "eigen", DEFAULT_CONFIG["eigen"])
     eig["n_max"] = _as_number("eigen.n_max", eig["n_max"], integer=True)
     eig["j_max"] = _as_number("eigen.j_max", eig["j_max"], integer=True)
-    if eig["n_max"] < 0 or eig["j_max"] < 0:
-        raise _fail("eigen.n_max", "n_max and j_max must be non-negative")
+    for key in ("n_max", "j_max"):
+        if eig[key] < 0:
+            raise _fail(f"eigen.{key}", "must be non-negative")
 
     return {"physics": phys, "grid": grid, "experiment": exp, "sweep": swp,
             "study": study, "eigen": eig}
@@ -291,16 +294,27 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
     return 0
 
 
+def _schedule(conf: dict) -> dict:
+    """The LoopSpec fields shared by every experiment kind."""
+    e = conf["experiment"]
+    return dict(T=e["T"], n=e["n"], j=e["j"], dt=e["dt"], ramp_fraction=e["ramp_fraction"])
+
+
+def _ab_spec(conf: dict, cfg: PhysicsConfig) -> LoopSpec:
+    return ab_loop_spec(cfg, winding=conf["experiment"]["winding"], **_schedule(conf))
+
+
 def _run_experiment(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
     e = conf["experiment"]
-    common = dict(T=e["T"], n=e["n"], j=e["j"], dt=e["dt"],
-                  ramp_fraction=e["ramp_fraction"], min_fidelity=e["min_fidelity"])
+    if e["kind"] == "fig1":
+        pair = run_fig1_comparison(cfg, grid, e["phi_B"], min_fidelity=e["min_fidelity"],
+                                   **_schedule(conf))
+        return [pair.blue, pair.green]
     if e["kind"] == "ab_loop":
-        return [run_ab_loop(cfg, grid, winding=e["winding"], **common)]
-    if e["kind"] == "general_loop":
-        return [run_general_loop(cfg, grid, height=e["height"], **common)]
-    pair = run_fig1_comparison(cfg, grid, phi_B=e["phi_B"], **common)
-    return [pair.blue, pair.green]
+        spec = _ab_spec(conf, cfg)
+    else:
+        spec = rectangle_loop_spec(cfg, e["height"], **_schedule(conf))
+    return [run_loop(cfg, grid, spec, e["min_fidelity"])]
 
 
 def cmd_run(conf: dict, out: Path, args) -> int:
@@ -321,11 +335,7 @@ def cmd_sweep(conf: dict, out: Path, args) -> int:
     grid = build_grid(conf, cfg)
     e, s = conf["experiment"], conf["sweep"]
     phis = np.linspace(s["phi_min"], s["phi_max"], s["num"])
-    sweep = flux_sweep(
-        cfg, grid, phis, T=e["T"], n=e["n"], j=e["j"], dt=e["dt"],
-        ramp_fraction=e["ramp_fraction"], winding=e["winding"], threads=args.threads,
-        min_fidelity=e["min_fidelity"],
-    )
+    sweep = flux_sweep(cfg, grid, _ab_spec(conf, cfg), phis, e["min_fidelity"])
     write_csv(out / "sweep.csv", ExperimentResult.CSV_COLUMNS,
               [r.csv_row() for r in sweep.rows], conf)
     write_json(out / "sweep.json", {
@@ -343,12 +353,7 @@ def cmd_sweep(conf: dict, out: Path, args) -> int:
 def cmd_study(conf: dict, out: Path, args) -> int:
     cfg = build_physics(conf)
     grid = build_grid(conf, cfg)
-    e = conf["study"]
-    exp = conf["experiment"]
-    study = adiabatic_study(
-        cfg, grid, e["T_values"], n=exp["n"], j=exp["j"], dt=exp["dt"],
-        ramp_fraction=exp["ramp_fraction"],
-    )
+    study = adiabatic_study(cfg, grid, _ab_spec(conf, cfg), conf["study"]["T_values"])
     columns = ("T", "gamma_error", "infidelity", "gamma_raw_error", "discrepancy_norm")
     rows = [(r.T, r.gamma_error, r.infidelity, r.gamma_raw_error, r.discrepancy_norm)
             for r in study.rows]
@@ -401,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config file (defaults are used when omitted)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweeps")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized verification checks")
     parser.add_argument("--print-default-config", action="store_true",
@@ -434,9 +437,6 @@ def main(argv=None) -> int:
         return 0
     if args.command is None:
         parser.print_help()
-        return 2
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
         return 2
 
     raw = {}

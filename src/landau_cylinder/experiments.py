@@ -22,7 +22,6 @@ the uncorrected phase (gamma_raw) and the subtracted pieces are reported.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,12 +47,9 @@ __all__ = [
     "LoopSpec",
     "ab_loop_spec",
     "rectangle_loop_spec",
-    "excursion_loop_spec",
     "fig1_loop_spec",
     "ExperimentResult",
     "run_loop",
-    "run_ab_loop",
-    "run_general_loop",
     "Fig1Comparison",
     "run_fig1_comparison",
     "SweepResult",
@@ -154,20 +150,6 @@ def _excursion_vertices(area: float) -> tuple[tuple[float, float], ...]:
     return ((0.0, 0.0), (0.0, side), (side, side), (side, 0.0), (0.0, 0.0))
 
 
-def excursion_loop_spec(
-    cfg: PhysicsConfig,
-    area: float,
-    T: Optional[float] = None,
-    n: int = 0,
-    j: int = 0,
-    dt: Optional[float] = None,
-    ramp_fraction: float = 0.1,
-) -> LoopSpec:
-    """Contractible square loop: no winding, oriented swept area `area`."""
-    path = PathPolyline(_excursion_vertices(area))
-    return LoopSpec("custom", path, _default_T(cfg, T, 2000.0), n, j, dt, ramp_fraction)
-
-
 def fig1_loop_spec(
     cfg: PhysicsConfig,
     variant: str,
@@ -246,9 +228,8 @@ def _run_spec(
     grid: CylinderGrid,
     spec: LoopSpec,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
-    keep_states: bool = False,
 ):
-    """Execute one loop experiment; optionally return the states for reuse."""
+    """Execute one loop experiment: (result, psi0, record, protocol)."""
     net = spec.path.net_displacement
     winding_f = net.rx / cfg.l
     winding = round(winding_f)
@@ -291,9 +272,7 @@ def _run_spec(
         enclosed_flux_total=winding * cfg.phi0 + phi_b,
         norm_drift=record.norm_drift,
     )
-    if keep_states:
-        return result, psi0, record, protocol
-    return result
+    return result, psi0, record, protocol
 
 
 def run_loop(
@@ -302,47 +281,8 @@ def run_loop(
     spec: LoopSpec,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
 ) -> ExperimentResult:
-    return _run_spec(cfg, grid, spec, min_fidelity)
-
-
-def _with_flux(cfg: PhysicsConfig, phi: Optional[float]) -> PhysicsConfig:
-    return cfg if phi is None else replace(cfg, phi0=float(phi))
-
-
-def run_ab_loop(
-    cfg: PhysicsConfig,
-    grid: CylinderGrid,
-    phi: Optional[float] = None,
-    T: Optional[float] = None,
-    n: int = 0,
-    j: int = 0,
-    dt: Optional[float] = None,
-    ramp_fraction: float = 0.1,
-    winding: int = 1,
-    min_fidelity: float = DEFAULT_FIDELITY_GATE,
-) -> ExperimentResult:
-    """Drag an eigenstate once around the cylinder at constant flux phi."""
-    cfg = _with_flux(cfg, phi)
-    spec = ab_loop_spec(cfg, T, n, j, dt, ramp_fraction, winding)
-    return run_loop(cfg, grid, spec, min_fidelity)
-
-
-def run_general_loop(
-    cfg: PhysicsConfig,
-    grid: CylinderGrid,
-    phi: Optional[float] = None,
-    height: float = 0.5,
-    T: Optional[float] = None,
-    n: int = 0,
-    j: int = 0,
-    dt: Optional[float] = None,
-    ramp_fraction: float = 0.1,
-    min_fidelity: float = DEFAULT_FIDELITY_GATE,
-) -> ExperimentResult:
-    """Winding loop with axial excursion: phase q(phi - phi_B)/hbar c."""
-    cfg = _with_flux(cfg, phi)
-    spec = rectangle_loop_spec(cfg, height, T, n, j, dt, ramp_fraction)
-    return run_loop(cfg, grid, spec, min_fidelity)
+    """Drag the spec's eigenstate around its loop at the flux cfg.phi0."""
+    return _run_spec(cfg, grid, spec, min_fidelity)[0]
 
 
 @dataclass(frozen=True)
@@ -363,7 +303,6 @@ def run_fig1_comparison(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
     phi_B: float,
-    phi: Optional[float] = None,
     T: Optional[float] = None,
     n: int = 0,
     j: int = 0,
@@ -371,28 +310,11 @@ def run_fig1_comparison(
     ramp_fraction: float = 0.1,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
 ) -> Fig1Comparison:
-    cfg = _with_flux(cfg, phi)
     blue, green = (
         run_loop(cfg, grid, fig1_loop_spec(cfg, v, phi_B, T, n, j, dt, ramp_fraction), min_fidelity)
         for v in ("blue", "green")
     )
     return Fig1Comparison(blue=blue, green=green)
-
-
-def _sweep_worker(args) -> ExperimentResult:
-    cfg, grid, spec, min_fidelity = args
-    # the package's own errors become failed rows; anything else is a bug and propagates
-    try:
-        return _run_spec(cfg, grid, spec, min_fidelity)
-    except (TruncationError, NonCyclicEvolutionError, ConfigError) as exc:
-        return ExperimentResult(
-            kind=spec.kind, phi=cfg.phi0, phi_B=float("nan"), n=spec.n, j=spec.j,
-            T=spec.T, dt=float("nan"), gamma_measured=float("nan"),
-            gamma_predicted=float("nan"), gamma_raw=float("nan"),
-            dynamical_phase=float("nan"), drift_action=float("nan"),
-            fidelity=float("nan"), enclosed_flux_total=float("nan"),
-            norm_drift=float("nan"), error=f"{type(exc).__name__}: {exc}",
-        )
 
 
 @dataclass(frozen=True)
@@ -407,35 +329,30 @@ class SweepResult:
 def flux_sweep(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
+    spec: LoopSpec,
     phi_values,
-    T: Optional[float] = None,
-    n: int = 0,
-    j: int = 0,
-    dt: Optional[float] = None,
-    ramp_fraction: float = 0.1,
-    winding: int = 1,
-    threads: int = 1,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
 ) -> SweepResult:
-    """Repeat the winding loop over a flux grid; the ideal slope is winding q / hbar c.
+    """Run one loop over a flux grid; for a loop winding w times the ideal
+    slope is w q / hbar c.
 
     Rows that fail with the package's own errors (truncation, non-cyclic
     return, bad configuration) are recorded with an error string and
-    excluded from the fit; any other exception propagates.  Work is
-    distributed across processes when threads > 1; results are collected
-    in submission order, so the output is independent of the worker count.
+    excluded from the fit; any other exception propagates.
     """
-    jobs = []
+    rows = []
     for phi in phi_values:
-        c = replace(cfg, phi0=float(phi))
-        spec = ab_loop_spec(c, T, n, j, dt, ramp_fraction, winding)
-        jobs.append((c, grid, spec, min_fidelity))
-
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+        try:
+            rows.append(run_loop(replace(cfg, phi0=float(phi)), grid, spec, min_fidelity))
+        except (TruncationError, NonCyclicEvolutionError, ConfigError) as exc:
+            nan = float("nan")
+            rows.append(ExperimentResult(
+                kind=spec.kind, phi=float(phi), phi_B=nan, n=spec.n, j=spec.j, T=spec.T,
+                dt=nan, gamma_measured=nan, gamma_predicted=nan, gamma_raw=nan,
+                dynamical_phase=nan, drift_action=nan, fidelity=nan,
+                enclosed_flux_total=nan, norm_drift=nan,
+                error=f"{type(exc).__name__}: {exc}",
+            ))
 
     good = [i for i, r in enumerate(rows) if r.error is None]
     if len(good) >= 2:
@@ -480,21 +397,20 @@ class StudyResult:
 def adiabatic_study(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
+    spec: LoopSpec,
     T_values,
-    n: int = 0,
-    j: int = 0,
-    dt: Optional[float] = None,
-    ramp_fraction: float = 0.1,
 ) -> StudyResult:
-    """Convergence of the phase readout and the factorization with T.
+    """Convergence of the phase readout and the factorization with the
+    spec's duration, rerun at each T in T_values.
 
     The fidelity gate is bypassed on purpose: the short-T rungs are exactly
     the interesting failures and must be recorded, not fatal.
     """
     rows = []
     for T in T_values:
-        spec = ab_loop_spec(cfg, float(T), n, j, dt, ramp_fraction)
-        result, psi0, record, protocol = _run_spec(cfg, grid, spec, min_fidelity=0.0, keep_states=True)
+        result, psi0, record, protocol = _run_spec(
+            cfg, grid, replace(spec, T=float(T)), min_fidelity=0.0
+        )
         report = factorized_evolution(psi0, protocol, tdse_state=record.final_state)
         rows.append(
             StudyRow(

@@ -21,12 +21,12 @@ from .core import CylinderGrid, PhysicsConfig, Wavefunction, inner_product, wrap
 from .drive import DriveProtocol, drift_displacement
 from .eigenstates import displaced_gaussian, landau_eigenstate, landau_energy, mode_center
 from .experiments import (
+    ab_loop_spec,
     adiabatic_study,
     flux_sweep,
     rectangle_loop_spec,
-    run_ab_loop,
     run_fig1_comparison,
-    run_general_loop,
+    run_loop,
 )
 from .magtrans import (
     Displacement,
@@ -109,8 +109,9 @@ def check_ab_berry_phase(cfg, grid, rng, levels, phis, T, dt):
     """Adiabatic winding loop: gamma = q phi / hbar c within 1e-3."""
     worst_err, worst_fid = 0.0, 1.0
     for n in levels:
+        spec = ab_loop_spec(cfg, T=T, n=n, dt=dt)
         for phi in phis:
-            res = run_ab_loop(cfg, grid, phi=phi, T=T, n=n, dt=dt)
+            res = run_loop(replace(cfg, phi0=phi), grid, spec)
             err = abs(wrap_angle(res.gamma_measured - res.gamma_predicted))
             worst_err = max(worst_err, err)
             worst_fid = min(worst_fid, res.fidelity)
@@ -124,12 +125,12 @@ def check_general_loop_phase(cfg, grid, rng, height, T):
     """Rectangle loop, |phi_B| = pi at phi = pi/2: gamma = q(phi - phi_B)/hbar c,
     cross-checked against the literal composition-phase product."""
     cfg = replace(cfg, phi0=np.pi / 2)
-    res = run_general_loop(cfg, grid, height=height, T=T)
+    spec = rectangle_loop_spec(cfg, height, T=T)
+    res = run_loop(cfg, grid, spec)
     err = abs(wrap_angle(res.gamma_measured - res.gamma_predicted))
 
     # independent oracle: apply the loop as a literal ordered product of
     # small magnetic translations and sum the pairwise composition phases
-    spec = rectangle_loop_spec(cfg, height, T=T)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     seq_state, phase_pred = sequential_translation(psi0, spec.path.refined(16), cfg)
     tele = path_ordered_translation(psi0, spec.path, cfg)
@@ -162,7 +163,7 @@ def check_general_loop_phase(cfg, grid, rng, height, T):
 def check_flux_cancellation(cfg, grid, rng, T):
     """Opposite excursions at phi = phi_B = pi/2: the phase follows
     q(phi - phi_B), not the total enclosed flux."""
-    pair = run_fig1_comparison(cfg, grid, phi_B=np.pi / 2, phi=np.pi / 2, T=T)
+    pair = run_fig1_comparison(replace(cfg, phi0=np.pi / 2), grid, phi_B=np.pi / 2, T=T)
     blue, green = pair.blue, pair.green
     blue_err = abs(blue.gamma_measured)
     green_err = abs(wrap_angle(green.gamma_measured - np.pi))
@@ -177,11 +178,11 @@ def check_flux_cancellation(cfg, grid, rng, T):
     )
 
 
-def check_flux_periodicity_and_linearity(cfg, grid, rng, T, threads):
+def check_flux_periodicity_and_linearity(cfg, grid, rng, T):
     """Unwrapped gamma(phi) is linear with slope q/hbar c; wrapped gamma has
     period 2 pi in phi (reference units)."""
     phis = np.linspace(0.0, 4 * np.pi, 17)
-    sweep = flux_sweep(cfg, grid, phis, T=T, threads=threads)
+    sweep = flux_sweep(cfg, grid, ab_loop_spec(cfg, T=T), phis)
     slope_err = abs(sweep.slope - 1.0)
     gm = np.array([r.gamma_measured for r in sweep.rows])
     # grid step pi/4: phi + 2 pi is eight indices ahead
@@ -276,7 +277,7 @@ def check_eigenstate_fidelity(cfg, grid, rng, n_max, j_max, flow_levels):
 def check_adiabatic_convergence(cfg, grid, rng, T_values, dt):
     """Corrected phase error decreases strictly with T; so does the
     factorization discrepancy; infidelity does not grow."""
-    study = adiabatic_study(cfg, grid, T_values, dt=dt)
+    study = adiabatic_study(cfg, grid, ab_loop_spec(cfg, dt=dt), T_values)
     ge = study.gamma_errors
     disc = study.discrepancies
     infid = study.infidelities
@@ -306,7 +307,7 @@ def check_integrator_quality(cfg, grid, rng, norm_T):
         errs.append(float(np.linalg.norm(out.amplitudes - ref_state.amplitudes)))
     ratio = errs[0] / errs[1]
 
-    long_run = run_ab_loop(cfg, grid, phi=np.pi / 2, T=norm_T)
+    long_run = run_loop(replace(cfg, phi0=np.pi / 2), grid, ab_loop_spec(cfg, T=norm_T))
     ok = 3.0 < ratio < 5.0 and long_run.norm_drift < 1e-10
     return (
         ok,
@@ -432,7 +433,7 @@ CHECKS = (
     ),
     Check(
         "flux_periodicity_and_linearity", check_flux_periodicity_and_linearity,
-        full=dict(T=200.0, threads=4),
+        full=dict(T=200.0),
         criterion=(6, "flux periodicity/linearity"),
     ),
     Check(

@@ -58,6 +58,8 @@ def test_type_and_range_diagnostics():
         resolve_config({"study": {"T_values": [10.0, -1.0]}})
     with pytest.raises(ConfigError, match=r"sweep\.num"):
         resolve_config({"sweep": {"num": 1}})
+    with pytest.raises(ConfigError, match=r"eigen\.j_max"):
+        resolve_config({"eigen": {"j_max": -1}})
 
 
 def test_nonpositive_field_rejected_with_section():
@@ -142,7 +144,7 @@ def test_run_csv_column_order(tmp_path, capsys):
 
 def test_sweep_output(tmp_path, capsys):
     cfgfile = write_config(tmp_path, QUICK)
-    assert main(["--config", str(cfgfile), "--out", str(tmp_path), "--threads", "2", "sweep"]) == 0
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path), "sweep"]) == 0
     payload = json.loads((tmp_path / "sweep.json").read_text())
     assert abs(payload["slope"] - 1.0) < 1e-5
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -195,10 +197,11 @@ def test_sweep_uses_winding(tmp_path, capsys):
     sweep = json.loads((tmp_path / "sweep.json").read_text())
     assert abs(sweep["slope"] - 2.0) < 1e-5
     assert all(r["enclosed_flux_total"] == pytest.approx(2 * r["phi"]) for r in sweep["rows"])
-
-
-def test_bad_threads_rejected(capsys):
-    assert main(["--threads", "0", "verify"]) == 2
+    # the study runs the same loop
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path), "adiabatic-study"]) == 0
+    study = json.loads((tmp_path / "study.json").read_text())
+    phi = study["config"]["physics"]["phi0"]
+    assert all(r["result"]["enclosed_flux_total"] == pytest.approx(2 * phi) for r in study["rows"])
 
 
 def test_verify_runs_every_quick_row(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from landau_cylinder import (
     DriveProtocol,
     PathPolyline,
     TruncationError,
+    ab_loop_spec,
     apply_hamiltonian,
     displaced_gaussian,
     evolve_oracle,
@@ -19,7 +22,7 @@ from landau_cylinder import (
     landau_energy,
     mode_center,
     mode_well,
-    run_ab_loop,
+    run_loop,
     wrap_angle,
 )
 from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON
@@ -105,8 +108,9 @@ def test_hold_phase_exact_at_any_step(cfg, grid, refine):
 
 def test_ab_loop_phase_independent_of_dt(cfg, grid):
     cap = MAX_DT_PER_CYCLOTRON / cfg.omega
+    cfg = replace(cfg, phi0=np.pi / 2)
     gammas = [
-        run_ab_loop(cfg, grid, phi=np.pi / 2, T=200.0, dt=dt).gamma_measured
+        run_loop(cfg, grid, ab_loop_spec(cfg, T=200.0, dt=dt)).gamma_measured
         for dt in (cap, cap / 10)
     ]
     assert abs(wrap_angle(gammas[0] - gammas[1])) < 1e-6
