@@ -22,10 +22,12 @@ from landau_cylinder import (
     landau_energy,
     mode_center,
     mode_well,
+    rectangle_loop_spec,
     run_loop,
     wrap_angle,
 )
 from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON
+from landau_cylinder.propagator import CHECK_SAMPLES, OCCUPATION_THRESHOLD
 
 
 def closed_wiggle(T, dt=5e-4):
@@ -114,6 +116,81 @@ def test_ab_loop_phase_independent_of_dt(cfg, grid):
         for dt in (cap, cap / 10)
     ]
     assert abs(wrap_angle(gammas[0] - gammas[1])) < 1e-6
+
+
+def reference_tdse(psi0, protocol):
+    """The stepper as a plain loop: every factor rebuilt and allocated at every step.
+
+    Returns the final state and the norm drift (truncation is not checked).
+    """
+    cfg, grid = protocol.cfg, psi0.grid
+    stack = psi0.to_modes()
+    occ = stack.occupied_rows(OCCUPATION_THRESHOLD)
+    prof = stack.profiles[occ].copy()
+    dt, n_steps = protocol.dt, protocol.n_steps
+    stride = max(1, n_steps // CHECK_SAMPLES)
+    omega = cfg.omega
+    y = grid.y[None, :]
+    tau_half = np.tan(0.5 * omega * dt) / omega
+    kin_half = np.exp(-1j * cfg.hbar * grid.ky**2 * tau_half / (2.0 * cfg.m))[None, :]
+    kin_full = kin_half * kin_half
+    well_phase = -1j * np.sin(omega * dt) / omega * cfg.m * omega**2 / (2.0 * cfg.hbar)
+    t_mid = (np.arange(n_steps) + 0.5) * dt
+    phi_mid = np.asarray(protocol.flux(t_mid), dtype=float)[:, None, None]
+    ey_mid = np.asarray(protocol.efield(t_mid)[1], dtype=float)[:, None, None]
+    b, c = mode_well(cfg, grid.mode_numbers[occ][:, None], phi_mid, ey_mid, stack.mode_offset)
+    const_phase = (-1j * dt / cfg.hbar) * c
+    norms = [np.sqrt(float((np.abs(prof) ** 2).sum() * grid.dy))]
+    F = np.fft.fft(prof, axis=1)
+    F *= kin_half
+    for s in range(n_steps):
+        psi_y = np.fft.ifft(F, axis=1)
+        d = y - b[s]
+        psi_y *= np.exp(well_phase * (d * d) + const_phase[s])
+        F = np.fft.fft(psi_y, axis=1)
+        last = s == n_steps - 1
+        if last or (s + 1) % stride == 0:
+            F *= kin_half
+            prof = np.fft.ifft(F, axis=1)
+            w = np.abs(prof) ** 2
+            norms.append(np.sqrt(float(w.sum() * grid.dy)))
+            if not last:
+                F *= kin_half
+        else:
+            F *= kin_full
+    full = np.zeros((grid.Nx, grid.Ny), dtype=complex)
+    full[occ] = prof
+    final = Wavefunction.from_modes(ModeStack(grid, full, stack.mode_offset))
+    norms = np.array(norms)
+    return final, float(np.max(np.abs(norms - norms[0])))
+
+
+@pytest.mark.parametrize("case", ["winding", "hold", "wiggle", "two_rows"])
+def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
+    # evolve_tdse reuses a step's well factor while the midpoint well is
+    # bitwise unchanged and writes its FFTs into preallocated buffers; both
+    # must leave every bit of the plain loop's result unchanged.  The
+    # winding loop reuses most factors, hold all but the first, the wiggle
+    # none (its flux moves every step), and two rows must agree row by row.
+    # Rewrite this reference together with the exact-forcing step (ROADMAP
+    # item 1), which changes the loop body.
+    cfg = replace(cfg, phi0=np.pi / 2)
+    psi0 = landau_eigenstate(cfg, grid, 0, 0)
+    if case == "winding":
+        proto = ab_loop_spec(cfg, T=200.0).protocol(cfg)
+    elif case == "hold":
+        proto = DriveProtocol.hold(cfg, T=20.0)
+    elif case == "wiggle":
+        pts, T, dt = closed_wiggle(T=4.0, dt=1e-3)
+        proto = DriveProtocol.from_path(cfg, PathPolyline(pts), T=T, dt=dt)
+    else:
+        amps = psi0.amplitudes + landau_eigenstate(cfg, grid, 1, 1).amplitudes
+        psi0 = Wavefunction(grid, amps, 0.0).normalized()
+        proto = rectangle_loop_spec(cfg, height=1.0, T=40.0).protocol(cfg)
+    rec = evolve_tdse(psi0, proto)
+    expected, drift = reference_tdse(psi0, proto)
+    assert np.array_equal(rec.final_state.amplitudes, expected.amplitudes)
+    assert rec.norm_drift == drift
 
 
 def test_tdse_matches_oracle_adiabatic(cfg, grid):
