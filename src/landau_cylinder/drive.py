@@ -10,7 +10,11 @@ phi(t) = phi(0) + l B R_y(t).  Each segment is traversed in time
 proportional to its length with a sin^2 velocity turn-on/turn-off over a
 fraction of the segment duration (default 0.1), so the velocity vanishes
 at corners and the fields are continuous.  Drift, velocity, field and
-drift action all have closed forms.
+drift action all have closed forms.  Sampling evaluates only the segments
+that act on the asked times: a segment that has not started contributes an
+exact zero, and one that has ended contributes its cached final progress,
+which are the bits the full formulas give there, so every output is
+bit-identical to summing all segments.
 
 The drift kinetic action
 
@@ -26,10 +30,10 @@ bounded below by (m L^2 / 2 hbar T) for any drive covering length L.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .core import ConfigError, PhysicsConfig
 from .magtrans import Displacement, PathPolyline
@@ -92,6 +96,12 @@ class SegmentSchedule:
     def speed_weight(self, t: np.ndarray) -> np.ndarray:
         """d(progress)/dt."""
         raw = _ramp_velocity_raw(np.asarray(t, float) - self.t_start, self.duration, self.ramp_time)
+        return raw / (self.duration - self.ramp_time)
+
+    @cached_property
+    def done(self) -> np.float64:
+        """progress(t) for every t past the segment's end (progress clips tau to duration)."""
+        raw = _ramp_progress_raw(np.float64(self.duration), self.duration, self.ramp_time)
         return raw / (self.duration - self.ramp_time)
 
     @property
@@ -197,13 +207,27 @@ class DriveProtocol:
 
     # -- kinematics -------------------------------------------------------
 
+    def _acting(self, t: np.ndarray) -> Iterator[tuple[SegmentSchedule, bool]]:
+        """Segments started by max(t), each flagged if min(t) is past its end.
+
+        The comparisons are strict: at tau = 0 and tau = duration the formulas
+        still give their own bits (a ramp-free velocity is 1 there).
+        """
+        if t.size == 0:
+            return
+        lo, hi = t.min(), t.max()
+        for seg in self.segments:
+            if hi < seg.t_start:  # segments are in time order; the rest give exact zeros
+                return
+            yield seg, lo - seg.t_start > seg.duration
+
     def displacement(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Guiding-center drift (R_x, R_y) at time(s) t."""
         t = np.asarray(t, dtype=float)
         rx = np.zeros_like(t)
         ry = np.zeros_like(t)
-        for seg in self.segments:
-            f = seg.progress(t)
+        for seg, ended in self._acting(t):
+            f = seg.done if ended else seg.progress(t)
             rx = rx + seg.delta.rx * f
             ry = ry + seg.delta.ry * f
         return rx, ry
@@ -212,7 +236,9 @@ class DriveProtocol:
         t = np.asarray(t, dtype=float)
         vx = np.zeros_like(t)
         vy = np.zeros_like(t)
-        for seg in self.segments:
+        for seg, ended in self._acting(t):
+            if ended:  # the weight is exactly 0 past the end
+                continue
             w = seg.speed_weight(t)
             vx = vx + seg.delta.rx * w
             vy = vy + seg.delta.ry * w
@@ -243,6 +269,8 @@ def drift_displacement(protocol: DriveProtocol, t: float) -> Displacement:
     Independent of the closed forms inside DriveProtocol (those are cross
     checked against this in the test suite).  Relative accuracy ~1e-10.
     """
+    from scipy import integrate  # imported here so the package starts on numpy alone
+
     if not 0.0 <= t <= protocol.T * (1.0 + 1e-12):
         raise ConfigError(f"t = {t} outside the protocol window [0, {protocol.T}]")
     scale = protocol.cfg.c / protocol.cfg.B

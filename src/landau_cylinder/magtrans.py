@@ -129,15 +129,6 @@ class PathPolyline:
         pts.append(self.vertices[-1])
         return PathPolyline.from_points(pts)
 
-    def reversed(self) -> "PathPolyline":
-        """The same geometry traversed backwards, re-anchored at the origin.
-
-        Negates the swept area of a closed path.
-        """
-        end = self.vertices[-1]
-        pts = [(p[0] - end[0], p[1] - end[1]) for p in reversed(self.vertices)]
-        return PathPolyline.from_points(pts)
-
 
 def translate_x(psi: Wavefunction, rx: float, cfg: PhysicsConfig) -> Wavefunction:
     """Magnetic translation around the cylinder by rx.

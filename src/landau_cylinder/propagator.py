@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (
     TRUNCATION_THRESHOLD,
@@ -290,6 +289,8 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
         raise ValueError(
             f"input is not a displaced oscillator eigenstate (overlap {abs(c0):.2e})"
         )
+
+    from scipy.integrate import solve_ivp  # imported here so the package starts on numpy alone
 
     theta = stack.mode_offset
     stiffness = cfg.m * omega**2

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,18 @@ def write_config(tmp_path, payload):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(payload))
     return p
+
+
+def test_cold_start_needs_no_scipy_integrate():
+    # only the oracle and drift_displacement use scipy.integrate; they import it on call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, landau_cylinder.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- config resolution -------------------------------------------------

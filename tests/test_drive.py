@@ -192,3 +192,68 @@ def test_hold_protocol(cfg):
     np.testing.assert_array_equal(ey, 0.0)
     assert proto.drift_action() == 0.0
     assert proto.path is None
+
+
+# --- segment-local sampling ------------------------------------------------
+
+
+def all_segments_kinematics(proto, t):
+    """Plain reference: every segment's progress and weight summed at every t."""
+    t = np.asarray(t, dtype=float)
+    rx, ry, vx, vy = (np.zeros_like(t) for _ in range(4))
+    for seg in proto.segments:
+        f = seg.progress(t)
+        w = seg.speed_weight(t)
+        rx = rx + seg.delta.rx * f
+        ry = ry + seg.delta.ry * f
+        vx = vx + seg.delta.rx * w
+        vy = vy + seg.delta.ry * w
+    scale = proto.cfg.B / proto.cfg.c
+    return {
+        "displacement": (rx, ry),
+        "velocity": (vx, vy),
+        "efield": (-scale * vy, scale * vx),
+        "flux": (proto.cfg.phi0 + proto.cfg.l * proto.cfg.B * ry,),
+    }
+
+
+def sampled_kinematics(proto, t):
+    return {
+        "displacement": proto.displacement(t),
+        "velocity": proto.velocity(t),
+        "efield": proto.efield(t),
+        "flux": (proto.flux(t),),
+    }
+
+
+@pytest.mark.parametrize("ramp_fraction", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("n_segments", [1, 4])
+def test_segment_local_sampling_is_bitwise(cfg, ramp_fraction, n_segments):
+    # byte equality, so the sign of a zero counts too
+    if n_segments == 1:
+        path = ab_path(cfg)
+    else:
+        path = PathPolyline(((0.0, 0.0), (1.5, 0.5), (0.5, 1.5), (-0.5, 0.25), (0.0, 0.0)))
+    T = 12.0
+    proto = DriveProtocol.from_path(cfg, path, T=T, ramp_fraction=ramp_fraction)
+    assert len(proto.segments) == n_segments
+    rng = np.random.default_rng(20261019)
+
+    edges = [0.0, T]
+    for seg in proto.segments:
+        edges += [seg.t_start, seg.t_start + seg.duration]
+    scalars = list(edges) + [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    scalars += list(rng.uniform(-1.0, T + 1.0, 100))
+    t_mid = (np.arange(proto.n_steps) + 0.5) * proto.dt
+    k = proto.n_steps // 3
+    windows = [t_mid, t_mid[k:k + 7], np.array([]), np.array([T + 0.5])]
+    windows += [np.sort(rng.uniform(e - 0.05, e + 0.05, 5)) for e in edges]
+
+    for t in scalars + windows:
+        want = all_segments_kinematics(proto, t)
+        got = sampled_kinematics(proto, t)
+        for name, arrays in want.items():
+            for a, b in zip(arrays, got[name]):
+                b = np.asarray(b)
+                assert b.dtype == a.dtype and b.shape == a.shape, (name, t)
+                assert a.tobytes() == b.tobytes(), (name, t)
