@@ -356,7 +356,7 @@ def cmd_study(conf: dict, out: Path, args) -> int:
     study = adiabatic_study(cfg, grid, _ab_spec(conf, cfg), conf["study"]["T_values"])
     columns = ("T", "gamma_error", "infidelity", "gamma_raw_error", "discrepancy_norm")
     rows = [(r.T, r.gamma_error, r.infidelity, r.gamma_raw_error, r.discrepancy_norm)
-            for r in study.rows]
+            for r in study]
     write_csv(out / "study.csv", columns, rows, conf)
     write_json(out / "study.json", {
         "rows": [
@@ -368,10 +368,10 @@ def cmd_study(conf: dict, out: Path, args) -> int:
                 "discrepancy_norm": r.discrepancy_norm,
                 "result": r.result.to_dict(),
             }
-            for r in study.rows
+            for r in study
         ],
     }, conf)
-    for r in study.rows:
+    for r in study:
         print(f"T = {r.T:9.2f}: gamma_error = {r.gamma_error:.3e}  "
               f"infidelity = {r.infidelity:.3e}  "
               f"raw_error = {r.gamma_raw_error:.3e}  "

@@ -55,7 +55,6 @@ __all__ = [
     "SweepResult",
     "flux_sweep",
     "StudyRow",
-    "StudyResult",
     "adiabatic_study",
 ]
 
@@ -377,29 +376,12 @@ class StudyRow:
     result: ExperimentResult
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    rows: tuple[StudyRow, ...]
-
-    @property
-    def gamma_errors(self) -> np.ndarray:
-        return np.array([r.gamma_error for r in self.rows])
-
-    @property
-    def infidelities(self) -> np.ndarray:
-        return np.array([r.infidelity for r in self.rows])
-
-    @property
-    def discrepancies(self) -> np.ndarray:
-        return np.array([r.discrepancy_norm for r in self.rows])
-
-
 def adiabatic_study(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
     spec: LoopSpec,
     T_values,
-) -> StudyResult:
+) -> tuple[StudyRow, ...]:
     """Convergence of the phase readout and the factorization with the
     spec's duration, rerun at each T in T_values.
 
@@ -422,4 +404,4 @@ def adiabatic_study(
                 result=result,
             )
         )
-    return StudyResult(rows=tuple(rows))
+    return tuple(rows)

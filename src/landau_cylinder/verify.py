@@ -278,9 +278,9 @@ def check_adiabatic_convergence(cfg, grid, rng, T_values, dt):
     """Corrected phase error decreases strictly with T; so does the
     factorization discrepancy; infidelity does not grow."""
     study = adiabatic_study(cfg, grid, ab_loop_spec(cfg, dt=dt), T_values)
-    ge = study.gamma_errors
-    disc = study.discrepancies
-    infid = study.infidelities
+    ge = np.array([r.gamma_error for r in study])
+    disc = np.array([r.discrepancy_norm for r in study])
+    infid = np.array([r.infidelity for r in study])
     ok = (
         bool(np.all(np.diff(ge) < 0))
         and bool(np.all(np.diff(disc) < 0))
@@ -288,7 +288,7 @@ def check_adiabatic_convergence(cfg, grid, rng, T_values, dt):
     )
     detail = ", ".join(
         f"T={r.T:g}: err {r.gamma_error:.1e}/disc {r.discrepancy_norm:.1e}"
-        for r in study.rows
+        for r in study
     )
     return ok, detail
 

@@ -155,10 +155,10 @@ def test_flux_sweep_propagates_unexpected_errors(cfg, grid, monkeypatch):
 
 
 def test_adiabatic_study_quick(cfg, grid):
-    st = adiabatic_study(cfg, grid, ab_loop_spec(cfg), [25.0, 50.0])
-    assert st.rows[1].gamma_error < st.rows[0].gamma_error
-    assert st.rows[1].infidelity < st.rows[0].infidelity
-    assert st.rows[1].discrepancy_norm < st.rows[0].discrepancy_norm
+    rows = adiabatic_study(cfg, grid, ab_loop_spec(cfg), [25.0, 50.0])
+    assert rows[1].gamma_error < rows[0].gamma_error
+    assert rows[1].infidelity < rows[0].infidelity
+    assert rows[1].discrepancy_norm < rows[0].discrepancy_norm
     # raw readout is dominated by the drift action, corrected one is not
-    for row in st.rows:
+    for row in rows:
         assert row.gamma_raw_error > 10 * row.gamma_error

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau_cylinder import (
     DriveProtocol,
@@ -27,7 +29,13 @@ from landau_cylinder import (
     wrap_angle,
 )
 from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON
-from landau_cylinder.propagator import CHECK_SAMPLES, OCCUPATION_THRESHOLD
+from landau_cylinder.core import TRUNCATION_THRESHOLD, edge_fraction
+from landau_cylinder.propagator import (
+    CHECK_SAMPLES,
+    MAX_BLOCK_ANGLE,
+    OCCUPATION_THRESHOLD,
+    _blocks,
+)
 
 
 def closed_wiggle(T, dt=5e-4):
@@ -119,9 +127,11 @@ def test_ab_loop_phase_independent_of_dt(cfg, grid):
 
 
 def reference_tdse(psi0, protocol):
-    """The stepper as a plain loop: every factor rebuilt and allocated at every step.
+    """The stepper as a plain loop: one step at a time, every factor rebuilt.
 
-    Returns the final state and the norm drift (truncation is not checked).
+    Returns the final state, the norm drift and the first check step at
+    which the edge fraction exceeds TRUNCATION_THRESHOLD (None if none
+    does; the loop runs on regardless).
     """
     cfg, grid = protocol.cfg, psi0.grid
     stack = psi0.to_modes()
@@ -141,6 +151,7 @@ def reference_tdse(psi0, protocol):
     b, c = mode_well(cfg, grid.mode_numbers[occ][:, None], phi_mid, ey_mid, stack.mode_offset)
     const_phase = (-1j * dt / cfg.hbar) * c
     norms = [np.sqrt(float((np.abs(prof) ** 2).sum() * grid.dy))]
+    edge_step = None
     F = np.fft.fft(prof, axis=1)
     F *= kin_half
     for s in range(n_steps):
@@ -154,6 +165,8 @@ def reference_tdse(psi0, protocol):
             prof = np.fft.ifft(F, axis=1)
             w = np.abs(prof) ** 2
             norms.append(np.sqrt(float(w.sum() * grid.dy)))
+            if edge_step is None and edge_fraction(w) > TRUNCATION_THRESHOLD:
+                edge_step = s
             if not last:
                 F *= kin_half
         else:
@@ -162,16 +175,18 @@ def reference_tdse(psi0, protocol):
     full[occ] = prof
     final = Wavefunction.from_modes(ModeStack(grid, full, stack.mode_offset))
     norms = np.array(norms)
-    return final, float(np.max(np.abs(norms - norms[0])))
+    return final, float(np.max(np.abs(norms - norms[0]))), edge_step
 
 
-@pytest.mark.parametrize("case", ["winding", "hold", "wiggle", "two_rows"])
+@pytest.mark.parametrize("case", ["winding", "hold", "hold_long", "wiggle", "two_rows"])
 def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
-    # evolve_tdse reuses a step's well factor while the midpoint well is
-    # bitwise unchanged and writes its FFTs into preallocated buffers; both
-    # must leave every bit of the plain loop's result unchanged.  The
-    # winding loop reuses most factors, hold all but the first, the wiggle
-    # none (its flux moves every step), and two rows must agree row by row.
+    # evolve_tdse takes each run of steps with an unchanged midpoint well,
+    # up to the next check step, as one exact step of the frozen well.
+    # Where no run merges (the wiggle's flux moves every step; hold at
+    # T = 20 checks every step) it keeps the one-step arithmetic, so every
+    # bit equals the step-by-step reference.  Merged runs (the winding
+    # loop's cruise, two rows of the rectangle loop, hold_long from its
+    # first block on) compose the same exact factors and agree to rounding.
     # Rewrite this reference together with the exact-forcing step (ROADMAP
     # item 1), which changes the loop body.
     cfg = replace(cfg, phi0=np.pi / 2)
@@ -180,6 +195,8 @@ def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
         proto = ab_loop_spec(cfg, T=200.0).protocol(cfg)
     elif case == "hold":
         proto = DriveProtocol.hold(cfg, T=20.0)
+    elif case == "hold_long":
+        proto = DriveProtocol.hold(cfg, T=3.0, dt=0.002)
     elif case == "wiggle":
         pts, T, dt = closed_wiggle(T=4.0, dt=1e-3)
         proto = DriveProtocol.from_path(cfg, PathPolyline(pts), T=T, dt=dt)
@@ -188,9 +205,55 @@ def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
         psi0 = Wavefunction(grid, amps, 0.0).normalized()
         proto = rectangle_loop_spec(cfg, height=1.0, T=40.0).protocol(cfg)
     rec = evolve_tdse(psi0, proto)
-    expected, drift = reference_tdse(psi0, proto)
-    assert np.array_equal(rec.final_state.amplitudes, expected.amplitudes)
-    assert rec.norm_drift == drift
+    expected, drift, _ = reference_tdse(psi0, proto)
+    if case in ("hold", "wiggle"):
+        assert np.array_equal(rec.final_state.amplitudes, expected.amplitudes)
+        assert rec.norm_drift == drift
+    else:
+        assert np.max(np.abs(rec.final_state.amplitudes - expected.amplitudes)) <= 1e-12
+        assert abs(rec.norm_drift - drift) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fresh=st.lists(st.booleans(), min_size=1, max_size=300),
+    stride=st.integers(1, 40),
+    omega_dt=st.floats(0.04, 2.0),
+    all_fresh=st.booleans(),
+)
+def test_block_partition(fresh, stride, omega_dt, all_fresh):
+    fresh = np.ones(len(fresh), dtype=bool) if all_fresh else np.array(fresh)
+    n_steps = fresh.size
+    starts, lengths = _blocks(fresh, stride, omega_dt)
+    ends = starts + lengths
+    # every step once, in order
+    assert starts[0] == 0 and ends[-1] == n_steps
+    assert np.all(lengths >= 1) and np.array_equal(starts[1:], ends[:-1])
+    # every check step ends a block
+    checks = [s for s in range(n_steps) if (s + 1) % stride == 0 or s == n_steps - 1]
+    assert set(s + 1 for s in checks) <= set(ends.tolist())
+    # a fresh step can only start a block
+    for s0, e in zip(starts, ends):
+        assert not fresh[s0 + 1 : e].any()
+    # a merged step stays within the angle cap
+    merged = lengths > 1
+    assert np.all(lengths[merged] * omega_dt <= MAX_BLOCK_ANGLE * (1 + 1e-12))
+    if fresh.all():
+        assert np.all(lengths == 1)
+
+
+def test_truncation_time_is_a_reference_check_step(cfg, grid):
+    # a packet kicked hard in a static well swings out to the y edge at
+    # t ~ pi / 2 omega; checks run every 3rd step and blocks merge between
+    # them, yet the error reports the reference's first offending check
+    proto = DriveProtocol.hold(cfg, T=10.0, dt=0.01)
+    assert proto.n_steps // CHECK_SAMPLES > 1
+    psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0), momentum=9.0)
+    _, _, edge_step = reference_tdse(psi0, proto)
+    assert edge_step is not None
+    t_edge = f"t = {(edge_step + 1) * proto.dt:.3f};"
+    with pytest.raises(TruncationError, match=t_edge):
+        evolve_tdse(psi0, proto)
 
 
 def test_tdse_matches_oracle_adiabatic(cfg, grid):
