@@ -6,121 +6,19 @@ exact mode-space time evolution, and geometric-phase readout for loops
 that wind around the cylinder, sweep local area, or both.
 """
 
-from .core import (
-    ConfigError,
-    CylinderGrid,
-    GridMismatchError,
-    ModeOffsetMismatchError,
-    ModeStack,
-    NonCyclicEvolutionError,
-    PhysicsConfig,
-    TruncationError,
-    Wavefunction,
-    inner_product,
-    wrap_angle,
-)
-from .drive import DriveProtocol, SegmentSchedule, drift_displacement
-from .eigenstates import (
-    LandauLevelState,
-    displaced_gaussian,
-    eigen_table,
-    landau_eigenstate,
-    landau_energy,
-    mode_center,
-    mode_well,
-    oscillator_profiles,
-)
-from .experiments import (
-    ExperimentResult,
-    Fig1Comparison,
-    LoopSpec,
-    StudyRow,
-    SweepResult,
-    ab_loop_spec,
-    adiabatic_study,
-    berry_phase,
-    fig1_loop_spec,
-    flux_sweep,
-    rectangle_loop_spec,
-    run_fig1_comparison,
-    run_loop,
-)
-from .magtrans import (
-    Displacement,
-    PathPolyline,
-    TranslationResult,
-    apply_displacement,
-    compose_phase,
-    path_ordered_translation,
-    sequential_translation,
-    translate_x,
-    translate_y,
-)
-from .propagator import (
-    EvolutionRecord,
-    FactorizationReport,
-    OracleResult,
-    apply_hamiltonian,
-    evolve_oracle,
-    evolve_tdse,
-    expectation_energy,
-    factorized_evolution,
-)
+# Each submodule's own __all__ is the one list of its public names; every
+# star import below also binds the submodule itself in this namespace.
+from .core import *
+from .drive import *
+from .eigenstates import *
+from .experiments import *
+from .magtrans import *
+from .propagator import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError",
-    "CylinderGrid",
-    "GridMismatchError",
-    "ModeOffsetMismatchError",
-    "ModeStack",
-    "NonCyclicEvolutionError",
-    "PhysicsConfig",
-    "TruncationError",
-    "Wavefunction",
-    "inner_product",
-    "wrap_angle",
-    "DriveProtocol",
-    "SegmentSchedule",
-    "drift_displacement",
-    "LandauLevelState",
-    "displaced_gaussian",
-    "eigen_table",
-    "landau_eigenstate",
-    "landau_energy",
-    "mode_center",
-    "mode_well",
-    "oscillator_profiles",
-    "ExperimentResult",
-    "Fig1Comparison",
-    "LoopSpec",
-    "StudyRow",
-    "SweepResult",
-    "ab_loop_spec",
-    "adiabatic_study",
-    "berry_phase",
-    "fig1_loop_spec",
-    "flux_sweep",
-    "rectangle_loop_spec",
-    "run_fig1_comparison",
-    "run_loop",
-    "Displacement",
-    "PathPolyline",
-    "TranslationResult",
-    "apply_displacement",
-    "compose_phase",
-    "path_ordered_translation",
-    "sequential_translation",
-    "translate_x",
-    "translate_y",
-    "EvolutionRecord",
-    "FactorizationReport",
-    "OracleResult",
-    "apply_hamiltonian",
-    "evolve_oracle",
-    "evolve_tdse",
-    "expectation_energy",
-    "factorized_evolution",
-    "__version__",
-]
+    name
+    for module in (core, drive, eigenstates, experiments, magtrans, propagator)
+    for name in module.__all__
+] + ["__version__"]

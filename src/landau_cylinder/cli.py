@@ -81,6 +81,37 @@ DEFAULT_CONFIG = {
 
 _EXPERIMENT_KINDS = ("ab_loop", "general_loop", "fig1")
 
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+
+# section -> key -> (type, optional (test, message)), checked in this order.
+# `str` values are kept as given; `float | None` may be null.
+_RULES = {
+    "physics": dict.fromkeys(DEFAULT_CONFIG["physics"], (float, None)),
+    "grid": {"Nx": (int, None), "Ny": (int, None), "y_min": (float, None), "y_max": (float, None)},
+    "experiment": {
+        "kind": (str, (lambda v: v in _EXPERIMENT_KINDS, f"must be one of {_EXPERIMENT_KINDS}")),
+        "T": (float, _POSITIVE),
+        "dt": (float | None, (lambda v: v is None or v > 0, "must be positive when set")),
+        "n": (int, _NON_NEGATIVE),
+        "j": (int, None),
+        "ramp_fraction": (float, (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]")),
+        "min_fidelity": (float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+        "winding": (int, (lambda v: v != 0, "must be a nonzero integer")),
+        "height": (float, None),
+        "phi_B": (float, _NON_NEGATIVE),
+    },
+    "sweep": {
+        "phi_min": (float, None),
+        "phi_max": (float, None),
+        "num": (int, (lambda v: v >= 2, "need at least two flux points")),
+    },
+    "study": {"T_values": (list[float], _POSITIVE)},
+    "eigen": {"n_max": (int, _NON_NEGATIVE), "j_max": (int, _NON_NEGATIVE)},
+}
+# (lower, upper) keys that must be strictly ordered, checked after their section
+_ORDERED = {"grid": ("y_min", "y_max"), "sweep": ("phi_min", "phi_max")}
+
 
 def _fail(path: str, msg: str) -> ConfigError:
     return ConfigError(f"{path}: {msg}")
@@ -101,6 +132,21 @@ def _as_number(path: str, value, *, integer=False, allow_none=False):
     if not math.isfinite(v):
         raise _fail(path, "must be finite")
     return v
+
+
+def _check(path: str, value, kind, rule):
+    """Convert one config value to its rule-table type, then apply its rule."""
+    if kind == list[float]:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise _fail(path, "expected a non-empty list of durations")
+        # every element's type is checked before any element's rule
+        values = [_as_number(f"{path}[{i}]", v) for i, v in enumerate(value)]
+        return [_check(f"{path}[{i}]", v, float, rule) for i, v in enumerate(values)]
+    if kind is not str:
+        value = _as_number(path, value, integer=kind is int, allow_none=kind == float | None)
+    if rule is not None and not rule[0](value):
+        raise _fail(path, rule[1])
+    return value
 
 
 def _section(raw: dict, name: str, default: dict, required_keys=()) -> dict:
@@ -134,96 +180,29 @@ def resolve_config(raw: dict) -> dict:
         if key not in DEFAULT_CONFIG:
             raise _fail(key, "unknown section")
 
-    phys_required = tuple(DEFAULT_CONFIG["physics"]) if "physics" in raw else ()
-    grid_required = tuple(DEFAULT_CONFIG["grid"]) if "grid" in raw else ()
-
-    phys = _section(raw, "physics", DEFAULT_CONFIG["physics"], phys_required)
-    for key in phys:
-        phys[key] = _as_number(f"physics.{key}", phys[key])
-
-    grid = _section(raw, "grid", DEFAULT_CONFIG["grid"], grid_required)
-    grid["Nx"] = _as_number("grid.Nx", grid["Nx"], integer=True)
-    grid["Ny"] = _as_number("grid.Ny", grid["Ny"], integer=True)
-    grid["y_min"] = _as_number("grid.y_min", grid["y_min"])
-    grid["y_max"] = _as_number("grid.y_max", grid["y_max"])
-    if grid["y_min"] >= grid["y_max"]:
-        raise _fail("grid.y_min", "must be strictly below grid.y_max")
-
-    exp = _section(raw, "experiment", DEFAULT_CONFIG["experiment"])
-    if exp["kind"] not in _EXPERIMENT_KINDS:
-        raise _fail("experiment.kind", f"must be one of {_EXPERIMENT_KINDS}")
-    exp["T"] = _as_number("experiment.T", exp["T"])
-    if exp["T"] <= 0:
-        raise _fail("experiment.T", "must be positive")
-    exp["dt"] = _as_number("experiment.dt", exp["dt"], allow_none=True)
-    if exp["dt"] is not None and exp["dt"] <= 0:
-        raise _fail("experiment.dt", "must be positive when set")
-    exp["n"] = _as_number("experiment.n", exp["n"], integer=True)
-    if exp["n"] < 0:
-        raise _fail("experiment.n", "must be non-negative")
-    exp["j"] = _as_number("experiment.j", exp["j"], integer=True)
-    exp["ramp_fraction"] = _as_number("experiment.ramp_fraction", exp["ramp_fraction"])
-    if not 0.0 <= exp["ramp_fraction"] <= 0.5:
-        raise _fail("experiment.ramp_fraction", "must lie in [0, 0.5]")
-    exp["min_fidelity"] = _as_number("experiment.min_fidelity", exp["min_fidelity"])
-    if not 0.0 <= exp["min_fidelity"] <= 1.0:
-        raise _fail("experiment.min_fidelity", "must lie in [0, 1]")
-    exp["winding"] = _as_number("experiment.winding", exp["winding"], integer=True)
-    if exp["winding"] == 0:
-        raise _fail("experiment.winding", "must be a nonzero integer")
-    exp["height"] = _as_number("experiment.height", exp["height"])
-    exp["phi_B"] = _as_number("experiment.phi_B", exp["phi_B"])
-    if exp["phi_B"] < 0:
-        raise _fail("experiment.phi_B", "must be non-negative")
-
-    swp = _section(raw, "sweep", DEFAULT_CONFIG["sweep"])
-    swp["phi_min"] = _as_number("sweep.phi_min", swp["phi_min"])
-    swp["phi_max"] = _as_number("sweep.phi_max", swp["phi_max"])
-    swp["num"] = _as_number("sweep.num", swp["num"], integer=True)
-    if swp["num"] < 2:
-        raise _fail("sweep.num", "need at least two flux points")
-    if swp["phi_min"] >= swp["phi_max"]:
-        raise _fail("sweep.phi_min", "must be strictly below sweep.phi_max")
-
-    study = _section(raw, "study", DEFAULT_CONFIG["study"])
-    values = study["T_values"]
-    if not isinstance(values, (list, tuple)) or not values:
-        raise _fail("study.T_values", "expected a non-empty list of durations")
-    study["T_values"] = [
-        _as_number(f"study.T_values[{i}]", v) for i, v in enumerate(values)
-    ]
-    for i, v in enumerate(study["T_values"]):
-        if v <= 0:
-            raise _fail(f"study.T_values[{i}]", "must be positive")
-
-    eig = _section(raw, "eigen", DEFAULT_CONFIG["eigen"])
-    eig["n_max"] = _as_number("eigen.n_max", eig["n_max"], integer=True)
-    eig["j_max"] = _as_number("eigen.j_max", eig["j_max"], integer=True)
-    for key in ("n_max", "j_max"):
-        if eig[key] < 0:
-            raise _fail(f"eigen.{key}", "must be non-negative")
-
-    return {"physics": phys, "grid": grid, "experiment": exp, "sweep": swp,
-            "study": study, "eigen": eig}
+    conf = {}
+    for name, rules in _RULES.items():
+        required = tuple(rules) if name in ("physics", "grid") and name in raw else ()
+        sect = conf[name] = _section(raw, name, DEFAULT_CONFIG[name], required)
+        for key, (kind, rule) in rules.items():
+            sect[key] = _check(f"{name}.{key}", sect[key], kind, rule)
+        if name in _ORDERED:
+            lower, upper = _ORDERED[name]
+            if sect[lower] >= sect[upper]:
+                raise _fail(f"{name}.{lower}", f"must be strictly below {name}.{upper}")
+    return conf
 
 
 def build_physics(conf: dict) -> PhysicsConfig:
-    p = conf["physics"]
     try:
-        return PhysicsConfig(
-            hbar=p["hbar"], q=p["q"], m=p["m"], c=p["c"],
-            B=p["B"], phi0=p["phi0"], l=p["l"],
-        )
+        return PhysicsConfig(**conf["physics"])
     except ConfigError as exc:
         raise ConfigError(f"physics: {exc}") from None
 
 
 def build_grid(conf: dict, cfg: PhysicsConfig) -> CylinderGrid:
-    g = conf["grid"]
     try:
-        return CylinderGrid.for_config(
-            cfg, Nx=g["Nx"], Ny=g["Ny"], y_min=g["y_min"], y_max=g["y_max"]
-        )
+        return CylinderGrid.for_config(cfg, **conf["grid"])
     except ConfigError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
@@ -355,21 +334,11 @@ def cmd_study(conf: dict, out: Path, args) -> int:
     grid = build_grid(conf, cfg)
     study = adiabatic_study(cfg, grid, _ab_spec(conf, cfg), conf["study"]["T_values"])
     columns = ("T", "gamma_error", "infidelity", "gamma_raw_error", "discrepancy_norm")
-    rows = [(r.T, r.gamma_error, r.infidelity, r.gamma_raw_error, r.discrepancy_norm)
-            for r in study]
+    rows = [tuple(getattr(r, c) for c in columns) for r in study]
     write_csv(out / "study.csv", columns, rows, conf)
     write_json(out / "study.json", {
-        "rows": [
-            {
-                "T": r.T,
-                "gamma_error": r.gamma_error,
-                "infidelity": r.infidelity,
-                "gamma_raw_error": r.gamma_raw_error,
-                "discrepancy_norm": r.discrepancy_norm,
-                "result": r.result.to_dict(),
-            }
-            for r in study
-        ],
+        "rows": [{**dict(zip(columns, row)), "result": r.result.to_dict()}
+                 for r, row in zip(study, rows)],
     }, conf)
     for r in study:
         print(f"T = {r.T:9.2f}: gamma_error = {r.gamma_error:.3e}  "

@@ -22,7 +22,7 @@ the uncorrected phase (gamma_raw) and the subtracted pieces are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -207,19 +207,10 @@ class ExperimentResult:
     CSV_COLUMNS = ("phi", "phi_B", "gamma_measured", "gamma_predicted", "fidelity", "T", "n", "kind")
 
     def csv_row(self) -> tuple:
-        return (
-            self.phi, self.phi_B, self.gamma_measured, self.gamma_predicted,
-            self.fidelity, self.T, self.n, self.kind,
-        )
+        return tuple(getattr(self, k) for k in self.CSV_COLUMNS)
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "kind", "phi", "phi_B", "n", "j", "T", "dt",
-            "gamma_measured", "gamma_predicted", "gamma_raw",
-            "dynamical_phase", "drift_action", "fidelity",
-            "enclosed_flux_total", "norm_drift", "gamma_unwrapped", "error",
-        )}
-        return out
+        return asdict(self)
 
 
 def _run_spec(
@@ -344,14 +335,11 @@ def flux_sweep(
         try:
             rows.append(run_loop(replace(cfg, phi0=float(phi)), grid, spec, min_fidelity))
         except (TruncationError, NonCyclicEvolutionError, ConfigError) as exc:
-            nan = float("nan")
-            rows.append(ExperimentResult(
-                kind=spec.kind, phi=float(phi), phi_B=nan, n=spec.n, j=spec.j, T=spec.T,
-                dt=nan, gamma_measured=nan, gamma_predicted=nan, gamma_raw=nan,
-                dynamical_phase=nan, drift_action=nan, fidelity=nan,
-                enclosed_flux_total=nan, norm_drift=nan,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+            blank = dict.fromkeys((f.name for f in fields(ExperimentResult)), float("nan"))
+            rows.append(ExperimentResult(**{
+                **blank, "kind": spec.kind, "phi": float(phi), "n": spec.n, "j": spec.j,
+                "T": spec.T, "gamma_unwrapped": None, "error": f"{type(exc).__name__}: {exc}",
+            }))
 
     good = [i for i, r in enumerate(rows) if r.error is None]
     if len(good) >= 2:

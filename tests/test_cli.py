@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from landau_cylinder.cli import DEFAULT_CONFIG, main, resolve_config
+from landau_cylinder.cli import _RULES, DEFAULT_CONFIG, main, resolve_config
 from landau_cylinder.core import ConfigError
 from landau_cylinder.verify import CHECKS
 
@@ -76,6 +76,73 @@ def test_type_and_range_diagnostics():
         resolve_config({"sweep": {"num": 1}})
     with pytest.raises(ConfigError, match=r"eigen\.j_max"):
         resolve_config({"eigen": {"j_max": -1}})
+
+
+_PHYS, _GRID = DEFAULT_CONFIG["physics"], DEFAULT_CONFIG["grid"]
+_KINDS = "('ab_loop', 'general_loop', 'fig1')"
+
+# one bad value per checked key, with the full message it must raise
+CONFIG_MESSAGES = [
+    ([], "config root: expected an object, got list"),
+    ({"physic": {}}, "physic: unknown section"),
+    ({"experiment": []}, "experiment: expected an object, got list"),
+    ({"experiment": {"zeta": 1.0}}, "experiment.zeta: unknown key"),
+    ({"physics": {"hbar": 1.0}}, "physics.q: required key missing"),
+    ({"grid": {"Nx": 64, "Ny": 512, "y_min": -12.0}}, "grid.y_max: required key missing"),
+    ({"physics": {**_PHYS, "hbar": "1"}}, "physics.hbar: expected a number, got str"),
+    ({"physics": {**_PHYS, "q": float("inf")}}, "physics.q: must be finite"),
+    ({"physics": {**_PHYS, "m": True}}, "physics.m: expected a number, got bool"),
+    ({"physics": {**_PHYS, "c": None}}, "physics.c: required key missing or null"),
+    ({"physics": {**_PHYS, "B": [1.0]}}, "physics.B: expected a number, got list"),
+    ({"physics": {**_PHYS, "phi0": float("nan")}}, "physics.phi0: must be finite"),
+    ({"physics": {**_PHYS, "l": {}}}, "physics.l: expected a number, got dict"),
+    ({"grid": {**_GRID, "Nx": 64.5}}, "grid.Nx: expected an integer, got 64.5"),
+    ({"grid": {**_GRID, "Ny": "512"}}, "grid.Ny: expected a number, got str"),
+    ({"grid": {**_GRID, "y_min": None}}, "grid.y_min: required key missing or null"),
+    ({"grid": {**_GRID, "y_max": float("-inf")}}, "grid.y_max: must be finite"),
+    ({"grid": {**_GRID, "y_min": 12.0}}, "grid.y_min: must be strictly below grid.y_max"),
+    ({"experiment": {"kind": "mystery"}}, f"experiment.kind: must be one of {_KINDS}"),
+    ({"experiment": {"kind": None}}, f"experiment.kind: must be one of {_KINDS}"),
+    ({"experiment": {"T": None}}, "experiment.T: required key missing or null"),
+    ({"experiment": {"T": 0.0}}, "experiment.T: must be positive"),
+    ({"experiment": {"dt": "0.1"}}, "experiment.dt: expected a number, got str"),
+    ({"experiment": {"dt": -0.1}}, "experiment.dt: must be positive when set"),
+    ({"experiment": {"n": -1}}, "experiment.n: must be non-negative"),
+    ({"experiment": {"j": 0.5}}, "experiment.j: expected an integer, got 0.5"),
+    ({"experiment": {"ramp_fraction": 0.6}}, "experiment.ramp_fraction: must lie in [0, 0.5]"),
+    ({"experiment": {"min_fidelity": 1.5}}, "experiment.min_fidelity: must lie in [0, 1]"),
+    ({"experiment": {"winding": 0}}, "experiment.winding: must be a nonzero integer"),
+    ({"experiment": {"height": [0.5]}}, "experiment.height: expected a number, got list"),
+    ({"experiment": {"phi_B": -0.1}}, "experiment.phi_B: must be non-negative"),
+    ({"sweep": {"phi_min": "0"}}, "sweep.phi_min: expected a number, got str"),
+    ({"sweep": {"phi_max": None}}, "sweep.phi_max: required key missing or null"),
+    ({"sweep": {"num": 2.5}}, "sweep.num: expected an integer, got 2.5"),
+    ({"sweep": {"num": 1}}, "sweep.num: need at least two flux points"),
+    ({"sweep": {"phi_min": 1.0, "phi_max": 1.0}},
+     "sweep.phi_min: must be strictly below sweep.phi_max"),
+    ({"study": {"T_values": []}}, "study.T_values: expected a non-empty list of durations"),
+    ({"study": {"T_values": 100.0}}, "study.T_values: expected a non-empty list of durations"),
+    ({"study": {"T_values": None}}, "study.T_values: expected a non-empty list of durations"),
+    ({"study": {"T_values": [10.0, "a"]}}, "study.T_values[1]: expected a number, got str"),
+    ({"study": {"T_values": [10.0, 0.0]}}, "study.T_values[1]: must be positive"),
+    ({"eigen": {"n_max": -1}}, "eigen.n_max: must be non-negative"),
+    ({"eigen": {"j_max": 1.5}}, "eigen.j_max: expected an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("raw, message", CONFIG_MESSAGES,
+                         ids=[message.split(":")[0] for _, message in CONFIG_MESSAGES])
+def test_config_error_messages(raw, message):
+    with pytest.raises(ConfigError) as info:
+        resolve_config(raw)
+    assert str(info.value) == message
+
+
+def test_rule_table_has_exactly_the_default_keys():
+    # a new default key without a rule fails here
+    assert set(_RULES) == set(DEFAULT_CONFIG)
+    for name, rules in _RULES.items():
+        assert set(rules) == set(DEFAULT_CONFIG[name]), name
 
 
 def test_nonpositive_field_rejected_with_section():
