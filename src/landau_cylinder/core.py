@@ -269,9 +269,6 @@ class ModeStack:
             return np.array([], dtype=int)
         return np.nonzero(weights > rel_threshold * total)[0]
 
-    def profile(self, j: int) -> np.ndarray:
-        return self.profiles[self.grid.mode_row(j)]
-
 
 @dataclass(frozen=True, eq=False)
 class Wavefunction:

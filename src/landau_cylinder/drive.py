@@ -207,6 +207,28 @@ class DriveProtocol:
 
     # -- kinematics -------------------------------------------------------
 
+    def breakpoints(self) -> np.ndarray:
+        """Times where the drive's second derivative may jump, sorted, from 0 to T.
+
+        0, T, every segment start and every ramp end.  A point within
+        1e-12 T of the one before it, or of T, marks the same kink (a ramp
+        end at ramp fraction 0 is its segment's start or end, and the last
+        segment ends within rounding of T), so no interval is shorter than
+        that.
+        """
+        times = [0.0, self.T]
+        for seg in self.segments:
+            times += [
+                seg.t_start,
+                seg.t_start + seg.ramp_time,
+                seg.t_start + seg.duration - seg.ramp_time,
+            ]
+        times = np.unique(times)
+        gap = 1e-12 * self.T
+        inner = times[(times > gap) & (times < self.T - gap)]
+        inner = inner[np.diff(inner, prepend=0.0) > gap]
+        return np.concatenate(([0.0], inner, [self.T]))
+
     def _acting(self, t: np.ndarray) -> Iterator[tuple[SegmentSchedule, bool]]:
         """Segments started by max(t), each flagged if min(t) is past its end.
 

@@ -36,7 +36,11 @@ evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
 transported along the classical trajectory and dressed by the classical
 action, for any drive strength.  Substituting the ansatz into the TDSE
-fixes every term; no adiabatic assumption is involved.
+fixes every term; no adiabatic assumption is involved.  Its classical ODE
+restarts at every DriveProtocol.breakpoints() time, where the sin^2 ramps
+make the force's second derivative jump, so each solve_ivp call sees a
+smooth force; on the 20 criterion-7 drives its phase then agrees with a
+rerun at rtol 3e-14 to 1e-13.
 
 factorized_evolution checks the adiabatic factorization U = g M(C) D U_eps
 by building g M(C) D explicitly and comparing with the TDSE result; the
@@ -306,6 +310,12 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     and S_cl the Lagrangian action of the linearly-driven well.  The input
     is validated against the displaced-eigenstate ansatz; anything else is
     rejected (this oracle is exact only on that family).
+
+    (y_cl, p_cl, S_cl) are integrated by DOP853 in one call per interval
+    between the protocol's breakpoints, each started from the end of the
+    one before: inside an interval the force is smooth, so the integrator
+    keeps its order (phase error ~1e-13 against a rerun at rtol 3e-14 on
+    the criterion-7 drives, where one call over [0, T] gave 1.4e-10).
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -360,13 +370,17 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
         lagr = pc * pc / (2.0 * cfg.m) - 0.5 * stiffness * yc * yc + f * yc
         return [pc / cfg.m, -stiffness * yc + f, lagr - (c + 0.5 * f * b)]
 
-    sol = solve_ivp(
-        rhs, (0.0, protocol.T), [y_bar, p_bar, 0.0], method="DOP853",
-        rtol=ORACLE_RTOL, atol=ORACLE_ATOL, max_step=protocol.T / 16,
-    )
-    if not sol.success:
-        raise RuntimeError(f"classical oracle integration failed: {sol.message}")
-    y_T, p_T, action_T = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1]
+    z = np.array([y_bar, p_bar, 0.0])
+    times = protocol.breakpoints()
+    for t0, t1 in zip(times[:-1], times[1:]):
+        sol = solve_ivp(
+            rhs, (t0, t1), z, method="DOP853",
+            rtol=ORACLE_RTOL, atol=ORACLE_ATOL, max_step=protocol.T / 16,
+        )
+        if not sol.success:
+            raise RuntimeError(f"classical oracle integration failed: {sol.message}")
+        z = sol.y[:, -1]
+    y_T, p_T, action_T = z
 
     phase = action_T / cfg.hbar - omega * (n + 0.5) * protocol.T + np.angle(c0)
     prof_T = hermite_profile(cfg, y, y_T, n) * np.exp(1j * p_T * (y - y_T) / cfg.hbar)

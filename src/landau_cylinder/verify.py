@@ -232,8 +232,8 @@ def check_oracle_equivalence(cfg, grid, rng, dt, drives=(), random_drives=0):
         worst_inf = max(worst_inf, abs(1.0 - abs(overlap)))
         worst_phase = max(worst_phase, abs(np.angle(overlap)))
     return (
-        worst_inf < 1e-7 and worst_phase < 1e-7,
-        f"{len(drives)} drives: worst infidelity {worst_inf:.2e} (tol 1e-7), worst phase gap "
+        worst_inf < 2e-10 and worst_phase < 1e-7,
+        f"{len(drives)} drives: worst infidelity {worst_inf:.2e} (tol 2e-10), worst phase gap "
         f"{worst_phase:.2e} (tol 1e-7)",
     )
 

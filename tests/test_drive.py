@@ -192,6 +192,39 @@ def test_hold_protocol(cfg):
     np.testing.assert_array_equal(ey, 0.0)
     assert proto.drift_action() == 0.0
     assert proto.path is None
+    assert proto.breakpoints().tolist() == [0.0, 5.0]
+
+
+# --- breakpoints -------------------------------------------------------------
+
+
+def test_breakpoints_are_segment_starts_and_ramp_ends(cfg):
+    # slots of 30 and 10, ramps of 3 and 1
+    path = PathPolyline(((0.0, 0.0), (3.0, 0.0), (3.0, 1.0)))
+    proto = DriveProtocol.from_path(cfg, path, T=40.0)
+    np.testing.assert_allclose(
+        proto.breakpoints(), [0.0, 3.0, 27.0, 30.0, 31.0, 39.0, 40.0], rtol=1e-14
+    )
+
+
+@pytest.mark.parametrize("ramp_fraction", [0.0, 1e-14, 0.1, 0.5])
+def test_breakpoints_have_no_near_duplicates(cfg, ramp_fraction):
+    # at ramp fraction 0 every ramp end is a segment start or end, and the
+    # last segment ends within rounding of T; at 0.5 the two ramps of a
+    # segment meet in its middle
+    path = PathPolyline(((0.0, 0.0), (0.3, 0.1), (0.2, -0.7), (-0.1, 0.3), (0.0, 0.0)))
+    T = 7.3
+    proto = DriveProtocol.from_path(cfg, path, T=T, ramp_fraction=ramp_fraction)
+    times = proto.breakpoints()
+    assert times[0] == 0.0 and times[-1] == T
+    assert np.all(np.diff(times) > 1e-12 * T)
+    # every kink is within that distance of a breakpoint
+    for seg in proto.segments:
+        for t in (seg.t_start, seg.t_start + seg.ramp_time,
+                  seg.t_start + seg.duration - seg.ramp_time):
+            assert np.min(np.abs(times - t)) <= 1e-12 * T
+    n_kinks = {0.0: 1, 1e-14: 1, 0.1: 3, 0.5: 2}[ramp_fraction]
+    assert times.size == n_kinks * len(proto.segments) + 1
 
 
 # --- segment-local sampling ------------------------------------------------

@@ -28,8 +28,10 @@ from landau_cylinder import (
     run_loop,
     wrap_angle,
 )
+from landau_cylinder import propagator
 from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON
 from landau_cylinder.core import TRUNCATION_THRESHOLD, edge_fraction
+from landau_cylinder.verify import CHECKS, _random_drive
 from landau_cylinder.propagator import (
     CHECK_SAMPLES,
     MAX_BLOCK_ANGLE,
@@ -289,6 +291,40 @@ def test_default_dt_matches_oracle_on_fast_drive(cfg, grid):
     overlap = inner_product(num, ora)
     assert abs(1.0 - abs(overlap)) < 1e-6
     assert abs(np.angle(overlap)) < 1e-6
+
+
+def test_oracle_agrees_with_tighter_rerun(cfg, grid, monkeypatch):
+    # the judge of criterion 7, judged on that criterion's drives: its own
+    # phase error against a rerun at rtol 3e-14 (scipy warns below about
+    # 2.2e-14), measured at 1.0e-13
+    check = next(c for c in CHECKS if c.name == "oracle_equivalence")
+    rng = np.random.default_rng(check.seed)
+    states = []
+    for _ in range(check.full["random_drives"]):
+        n, j, d0, p0, vertices, T = _random_drive(rng)
+        psi0 = displaced_gaussian(
+            cfg, grid, j=j, center=mode_center(cfg, j) + d0, momentum=p0, n=n
+        )
+        states.append((psi0, DriveProtocol.from_path(cfg, PathPolyline(vertices), T=T)))
+    runs = [[evolve_oracle(psi0, proto).final_state for psi0, proto in states]]
+    monkeypatch.setattr(propagator, "ORACLE_RTOL", 3e-14)
+    monkeypatch.setattr(propagator, "ORACLE_ATOL", 1e-15)
+    runs.append([evolve_oracle(psi0, proto).final_state for psi0, proto in states])
+    gaps = [abs(np.angle(inner_product(a, b))) for a, b in zip(*runs)]
+    assert max(gaps) < 1e-12
+
+
+def test_hold_returns_every_row(cfg, grid):
+    # a row holding 1e-8 of the probability must come back as
+    # e^{-i E_n T / hbar} times itself, like the large one
+    T = 3.0
+    big, small = (landau_eigenstate(cfg, grid, 0, j) for j in (0, 1))
+    psi0 = Wavefunction(grid, big.amplitudes + 1e-4 * small.amplitudes, big.mode_offset)
+    psi0 = psi0.normalized()
+    final = evolve_tdse(psi0, DriveProtocol.hold(cfg, T=T)).final_state
+    want = psi0.to_modes().profiles * np.exp(-1j * landau_energy(cfg, 0) * T / cfg.hbar)
+    row_err = np.sqrt(np.sum(np.abs(final.to_modes().profiles - want) ** 2, axis=1) * grid.dy)
+    assert np.max(row_err) < 1e-12
 
 
 def test_oracle_rejects_multimode(cfg, grid):
