@@ -14,7 +14,10 @@ drift action all have closed forms.  Sampling evaluates only the segments
 that act on the asked times: a segment that has not started contributes an
 exact zero, and one that has ended contributes its cached final progress,
 which are the bits the full formulas give there, so every output is
-bit-identical to summing all segments.
+bit-identical to summing all segments.  Between consecutive
+breakpoints() (segment starts and ramp ends) every field is smooth, so
+evolve_tdse and evolve_oracle never step across one.  A protocol holds no
+time grid: its optional dt only caps the steps evolve_tdse takes.
 
 The drift kinetic action
 
@@ -39,17 +42,6 @@ from .core import ConfigError, PhysicsConfig
 from .magtrans import Displacement, PathPolyline
 
 __all__ = ["SegmentSchedule", "DriveProtocol", "drift_displacement"]
-
-# Largest step, in units of 1/omega.  The exact-oscillator step has no
-# splitting bias, so dt only samples the drive.  Across dt in [0.01, 0.2]/omega
-# (README, "Time step"), slow-loop phases move by < 3e-7 rad (ab loop,
-# T = 200) and < 2e-5 rad (fig1 pair, T = 2000); 0.1 keeps a factor of 2
-# below the largest step measured.
-MAX_DT_PER_CYCLOTRON = 0.1
-
-# The default step also resolves the shortest ramp in this many steps, so
-# fast drives (ramps of a few hundredths) keep oracle-level accuracy.
-STEPS_PER_RAMP = 100
 
 
 def _ramp_progress_raw(tau: np.ndarray, Ts: float, Tr: float) -> np.ndarray:
@@ -115,17 +107,14 @@ class DriveProtocol:
     """A complete drive: a scheduled polyline path, or no drive at all.
 
     Use the constructors: from_path (every loop and test drive) or hold
-    (no drive; path is None and segments is empty).  Time stepping metadata
-    lives here too: dt is snapped so that T is an integer number of steps
-    (n_steps * dt = T is checked), and is capped at MAX_DT_PER_CYCLOTRON /
-    omega.  When dt is not given it also resolves the shortest ramp in
-    STEPS_PER_RAMP steps.
+    (no drive; path is None and segments is empty).  dt is the largest
+    step evolve_tdse may take, or None for its own grid; any positive
+    value is valid.
     """
 
     cfg: PhysicsConfig
     T: float
-    dt: float
-    n_steps: int
+    dt: Optional[float] = None
     ramp_fraction: float = 0.1
     path: Optional[PathPolyline] = None
     segments: tuple[SegmentSchedule, ...] = ()
@@ -133,38 +122,12 @@ class DriveProtocol:
     def __post_init__(self) -> None:
         if self.T <= 0.0:
             raise ConfigError(f"protocol duration must be positive (got {self.T})")
-        limit = MAX_DT_PER_CYCLOTRON / self.cfg.omega
-        if self.dt > limit * (1.0 + 1e-9):
-            raise ConfigError(
-                f"dt = {self.dt:.3e} exceeds the integrator resolution limit "
-                f"{limit:.3e} = {MAX_DT_PER_CYCLOTRON:g}/omega"
-            )
-        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.T) > 1e-9 * self.T:
-            raise ConfigError(
-                f"n_steps * dt = {self.n_steps} * {self.dt:.6e} does not cover T = {self.T}"
-            )
+        if self.dt is not None and self.dt <= 0.0:
+            raise ConfigError(f"dt must be positive (got {self.dt})")
         if not 0.0 <= self.ramp_fraction <= 0.5:
             raise ConfigError(f"ramp_fraction must be in [0, 0.5] (got {self.ramp_fraction})")
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def _steps_for(
-        cfg: PhysicsConfig,
-        T: float,
-        dt: Optional[float],
-        segments: tuple[SegmentSchedule, ...] = (),
-    ) -> tuple[float, int]:
-        limit = MAX_DT_PER_CYCLOTRON / cfg.omega
-        if dt is not None and dt <= 0.0:
-            raise ConfigError(f"dt must be positive (got {dt})")
-        if dt is None:
-            ramps = [s.ramp_time / STEPS_PER_RAMP for s in segments if s.ramp_time > 0.0]
-            target = min([limit] + ramps)
-        else:
-            target = min(dt, limit)
-        n = max(1, int(np.ceil(T / target - 1e-12)))
-        return T / n, n
 
     @classmethod
     def from_path(
@@ -192,18 +155,15 @@ class DriveProtocol:
                 )
             )
             t0 += duration
-        segments = tuple(segments)
-        step, n = cls._steps_for(cfg, T, dt, segments)
         return cls(
-            cfg=cfg, T=T, dt=step, n_steps=n, ramp_fraction=ramp_fraction,
-            path=path, segments=segments,
+            cfg=cfg, T=T, dt=dt, ramp_fraction=ramp_fraction,
+            path=path, segments=tuple(segments),
         )
 
     @classmethod
     def hold(cls, cfg: PhysicsConfig, T: float, dt: Optional[float] = None) -> "DriveProtocol":
         """No drive: constant flux, stationary Hamiltonian."""
-        step, n = cls._steps_for(cfg, T, dt)
-        return cls(cfg=cfg, T=T, dt=step, n_steps=n)
+        return cls(cfg=cfg, T=T, dt=dt)
 
     # -- kinematics -------------------------------------------------------
 
@@ -223,7 +183,7 @@ class DriveProtocol:
                 seg.t_start + seg.ramp_time,
                 seg.t_start + seg.duration - seg.ramp_time,
             ]
-        times = np.unique(times)
+        times = np.sort(times)  # not np.unique, which loads numpy.ma; the gap test drops repeats
         gap = 1e-12 * self.T
         inner = times[(times > gap) & (times < self.T - gap)]
         inner = inner[np.diff(inner, prepend=0.0) > gap]

@@ -184,6 +184,7 @@ class ExperimentResult:
     (dynamical_phase = E_n T / hbar and drift_action); gamma_raw subtracts
     only dynamical_phase.  phi_B = B * swept area is the surface flux
     enclosed by the loop; enclosed_flux_total = winding * phi + phi_B.
+    dt is the largest step the spec asked for (None: the integrator's grid).
     """
 
     kind: str
@@ -192,7 +193,7 @@ class ExperimentResult:
     n: int
     j: int
     T: float
-    dt: float
+    dt: Optional[float]
     gamma_measured: float
     gamma_predicted: float
     gamma_raw: float
@@ -252,7 +253,7 @@ def _run_spec(
         n=spec.n,
         j=spec.j,
         T=spec.T,
-        dt=protocol.dt,
+        dt=spec.dt,
         gamma_measured=gamma,
         gamma_predicted=predicted,
         gamma_raw=gamma_raw,
@@ -338,7 +339,8 @@ def flux_sweep(
             blank = dict.fromkeys((f.name for f in fields(ExperimentResult)), float("nan"))
             rows.append(ExperimentResult(**{
                 **blank, "kind": spec.kind, "phi": float(phi), "n": spec.n, "j": spec.j,
-                "T": spec.T, "gamma_unwrapped": None, "error": f"{type(exc).__name__}: {exc}",
+                "T": spec.T, "dt": spec.dt, "gamma_unwrapped": None,
+                "error": f"{type(exc).__name__}: {exc}",
             }))
 
     good = [i for i, r in enumerate(rows) if r.error is None]

@@ -1,4 +1,4 @@
-"""Time evolution: split-operator TDSE, exact oracle, factorization check.
+"""Time evolution: exact-step TDSE, exact oracle, factorization check.
 
 The Hamiltonian
 
@@ -10,27 +10,23 @@ factorizes into independent 1D problems: mode j sees the potential
 
     V_j(y, t) = (hbar kappa_j - q A_x(y, t) / c)^2 / 2m - q E_y(t) y,
 
-a harmonic well of fixed frequency omega whose center rides the drift.
-evolve_tdse exploits this: it propagates only the occupied mode rows, and
-over each step freezes the drive at the step midpoint, where V_j is the
-exact well m omega^2 (y - b)^2 / 2 + C (mode_well gives b and C, here
-and in evolve_oracle and factorized_evolution).  The propagator of a
-frozen well factorizes exactly into kinetic-y factors of effective time
-tan(omega dt / 2) / omega (applied via FFT) around a potential factor
-weighted by sin(omega dt) / omega, so a static well is propagated without
-splitting error at any dt < pi / omega.  The only error left is second
-order in dt, from the drive's time dependence.  While the drive holds its
-speed the frozen well does not change, and k such steps compose to the
-same factorization with k dt in place of dt; evolve_tdse takes each such
-run, up to the next check step and at most MAX_BLOCK_ANGLE / omega long,
-as one step, so the result moves only by rounding and a run of single
-steps keeps the one-step arithmetic bit for bit (the winding loop at
-T = 200 takes 630 blocks for 2000 steps; the rectangle loop and a fig1
-loop at phi_B = pi/2, T = 2000, take 7258 and 8508 for 20000).  Each
-factor is unitary, so norm is conserved to rounding.  evolve_tdse returns
-the final state and the norm drift; the norm and the boundary mass are
-checked at about CHECK_SAMPLES evenly spaced steps and at the last one,
-and probability at the y boundary raises TruncationError.
+the harmonic well m omega^2 (y - b_j(t))^2 / 2 + C_j(t) of fixed frequency
+omega (mode_well gives b and C, here and in evolve_oracle and
+factorized_evolution).  Measured from the well centre at the start of a
+step, that is a static oscillator under a linear force that is the same
+for every row, and for such a Hamiltonian the Magnus series stops at
+second order (Husimi, Prog. Theor. Phys. 9, 381 (1953)).  evolve_tdse
+therefore takes steps that are exact for any drive: each step is the
+static oscillator's propagator, split exactly into kinetic factors of
+effective time tan(omega h / 2) / omega (applied via FFT) around a
+potential factor weighted by sin(omega h) / omega, times a displacement
+and a phase built from force integrals that 10-node Gauss-Legendre
+quadrature evaluates to rounding on the smooth drive between two
+breakpoints.  Its steps (see _time_grid) never cross a breakpoint, keep
+omega h <= MAX_BLOCK_ANGLE, and end at about CHECK_SAMPLES norm and
+boundary checks; a protocol's dt only splits them further.  Only the
+occupied mode rows are propagated, each factor is unitary, and
+probability at the y boundary raises TruncationError.
 
 evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
@@ -50,6 +46,7 @@ reported discrepancy is the footprint of the neglected U_eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -79,9 +76,10 @@ __all__ = [
 ]
 
 CHECK_SAMPLES = 256
-# longest merged step, as omega * h: tan(omega h / 2) <= 1 keeps its kinetic
-# factor well conditioned
+# longest step, as omega * h: tan(omega h / 2) <= 1 keeps its kinetic factor
+# well conditioned
 MAX_BLOCK_ANGLE = np.pi / 2
+GAUSS_NODES = 10
 OCCUPATION_THRESHOLD = 1e-14
 ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
 
@@ -128,77 +126,126 @@ def expectation_energy(
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
-    """TDSE run result: the final state and the step it was reached with.
+    """TDSE run result: the final state and the number of steps taken.
 
-    norm_drift is the largest deviation of the norm, sampled at about
-    CHECK_SAMPLES evenly spaced steps and at the last one, from the initial
-    norm; the stepper is unitary, so this measures accumulated rounding only.
+    norm_drift is the largest deviation of the norm, sampled at every
+    check (see _time_grid), from the norm of the whole initial state; the
+    stepper is unitary, so this measures accumulated rounding and any
+    probability left in rows too empty to propagate.
     """
 
     final_state: Wavefunction
-    dt: float
     n_steps: int
     norm_drift: float
 
 
-def _blocks(fresh: np.ndarray, stride: int, omega_dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each block of steps that evolve_tdse takes as one step.
+def _time_grid(protocol: DriveProtocol) -> list[tuple[float, float, int, int]]:
+    """evolve_tdse's steps, as (t0, h, n, k) per interval between breakpoints:
+    n natural steps of length h from t0, each split into k equal steps.
 
-    A block starts at step 0, at every fresh step and after every check step
-    (s + 1 a multiple of stride), and holds as many steps as fit in
-    MAX_BLOCK_ANGLE / omega_dt (at least one); the last step ends a block.
+    A natural step has omega h <= MAX_BLOCK_ANGLE and h <= T / CHECK_SAMPLES,
+    and each one ends at a norm and boundary check.  k is 1, or the fewest
+    steps of at most protocol.dt when one is given.
     """
-    n_steps = fresh.size
-    max_len = max(1, int(MAX_BLOCK_ANGLE / omega_dt))
-    cut = fresh.copy()
-    cut[0] = True
-    cut[stride::stride] = True
-    runs = np.flatnonzero(cut)
-    run_len = np.diff(np.append(runs, n_steps))
-    chunks = -(-run_len // max_len)
-    first = np.repeat(np.cumsum(chunks) - chunks, chunks)
-    starts = np.repeat(runs, chunks) + max_len * (np.arange(first.size) - first)
-    ends = np.minimum(starts + max_len, np.repeat(runs + run_len, chunks))
-    return starts, ends - starts
+    times = protocol.breakpoints()
+    h_max = min(MAX_BLOCK_ANGLE / protocol.cfg.omega, protocol.T / CHECK_SAMPLES)
+    grid = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n = max(1, int(np.ceil((t1 - t0) / h_max - 1e-9)))
+        h = (t1 - t0) / n
+        k = 1 if protocol.dt is None else max(1, int(np.ceil(h / protocol.dt - 1e-9)))
+        grid.append((float(t0), h, n, k))
+    return grid
 
 
-def _midpoint_wells(
-    protocol: DriveProtocol, modes: np.ndarray, mode_offset: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every step's midpoint well (b, C) on every row, in one vectorized pass,
-    and the fresh mask: True where a step's well differs bitwise from the
-    previous step's.  The per-step samples die here, before evolve_tdse
-    builds its blocks."""
-    n_steps = protocol.n_steps
-    t_mid = (np.arange(n_steps) + 0.5) * protocol.dt
-    phi_mid = np.asarray(protocol.flux(t_mid), dtype=float)[:, None, None]
-    ey_mid = np.asarray(protocol.efield(t_mid)[1], dtype=float)[:, None, None]
-    b, c = mode_well(protocol.cfg, modes, phi_mid, ey_mid, mode_offset)
-    well_bits = np.concatenate([b.reshape(n_steps, -1), c.reshape(n_steps, -1)], axis=1)
-    well_bits = well_bits.view(np.uint64)
-    fresh = np.ones(n_steps, dtype=bool)
-    fresh[1:] = np.any(well_bits[1:] != well_bits[:-1], axis=1)
-    return b, c, fresh
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes xi and weights w of GAUSS_NODES-point Gauss-Legendre on [-1, 1],
+    and Q[k, l], the integral from -1 to xi_k of node l's Lagrange polynomial:
+    Q @ g integrates the interpolant of samples g from -1 up to every node.
+
+    Plain numpy (Newton's method on the Legendre recurrence, then the same
+    rule on each [-1, xi_k]), so no linear-algebra library is loaded.
+    """
+    n = GAUSS_NODES
+
+    def legendre(x):  # P_n(x) and P_n'(x)
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    xi = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):  # converges quadratically from these guesses
+        p, dp = legendre(xi)
+        xi = xi - p / dp
+    w = 2.0 / ((1.0 - xi * xi) * legendre(xi)[1] ** 2)
+    # the rule is exact on [-1, xi_k] for the Lagrange polynomials (degree n - 1)
+    x = -1.0 + 0.5 * (xi[:, None] + 1.0) * (xi + 1.0)
+    off = ~np.eye(n, dtype=bool)
+    lagrange = np.where(off, (x[:, :, None] - xi)[:, :, None, :], 1.0).prod(axis=-1)
+    lagrange /= np.where(off, xi[:, None] - xi, 1.0).prod(axis=-1)
+    q = 0.5 * (xi[:, None] + 1.0) * np.einsum("m,kml->kl", w, lagrange)
+    return xi, w, q
+
+
+def _step_coefficients(
+    protocol: DriveProtocol, modes: np.ndarray, mode_offset: float, start: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(b0, A, beta, Phi) of the exact step from each start over h, per row and step.
+
+    In x = y - b0, with b0 the row's well centre at the step start, the
+    row sees the static well m omega^2 x^2 / 2 plus -f(s) x + g(s), where
+    f = m omega^2 (b(t0 + s) - b0) and g = f^2 / 2 m omega^2 + C.  The
+    step's propagator is then exactly
+
+        K exp(-i m omega^2 sigma x^2 / 2 hbar + i A x / hbar) K e^{i beta k_y} e^{i Phi},
+
+    K = exp(-i hbar k_y^2 tau / 2m), tau = tan(omega h / 2) / omega,
+    sigma = sin(omega h) / omega, beta = B - A tau / m and
+    Phi = (-G + D / 2 m omega - A^2 tau / 2m + A B / 2) / hbar, with
+    A = int f cos(omega s), B = int f sin(omega s) / m omega, G = int g and
+    D = int int_{s2 < s1} f(s1) f(s2) sin(omega (s1 - s2)) over [0, h].
+    """
+    cfg = protocol.cfg
+    omega, m = cfg.omega, cfg.m
+    stiffness = m * omega**2
+    xi, w, q = _gauss_legendre()
+    s = 0.5 * h * (xi + 1.0)
+    t = start[:, None] + np.append(0.0, s)
+    phi = np.asarray(protocol.flux(t), dtype=float)
+    ey = np.asarray(protocol.efield(t)[1], dtype=float)
+    b, c = mode_well(cfg, modes[:, None, None], phi, ey, mode_offset)
+    f = stiffness * (b[..., 1:] - b[..., :1])
+    fc, fs = f * np.cos(omega * s), f * np.sin(omega * s)
+    # einsum, not @: these small sums would load BLAS and its buffers (peak memory)
+    A = 0.5 * h * np.einsum("...k,k", fc, w)
+    B = 0.5 * h * np.einsum("...k,k", fs, w) / (m * omega)
+    G = 0.5 * h * np.einsum("...k,k", f * f / (2.0 * stiffness) + c[..., 1:], w)
+    inner_c, inner_s = np.einsum("...l,kl", fc, q), np.einsum("...l,kl", fs, q)
+    D = 0.25 * h * h * np.einsum("...k,k", fs * inner_c - fc * inner_s, w)
+    tau = np.tan(0.5 * omega * h) / omega
+    phase = (-G + D / (2.0 * m * omega) - A * A * tau / (2.0 * m) + 0.5 * A * B) / cfg.hbar
+    return b[..., 0], A, B - A * tau / m, phase
 
 
 def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
-    """Integrate the TDSE over the protocol by exact-oscillator splitting.
+    """Integrate the TDSE over the protocol in steps that are exact for any drive.
 
     Only mode rows carrying probability are propagated (modes are exactly
     decoupled, so empty rows stay empty); the result is identical to
-    propagating the full stack.  Each step samples phi(t) and E_y(t) at
-    its midpoint and applies the exact propagator of that frozen well:
+    propagating the full stack.  Each step is the product of
+    _step_coefficients, with its potential factor written as the
+    complete square
 
-        e^{-i p^2 tau / 2 m hbar} e^{-i [sin(omega dt) / omega
-        m omega^2 (y - b)^2 / 2 + dt C] / hbar} e^{-i p^2 tau / 2 m hbar},
+        exp(-i m omega^2 sigma (x - A / m omega^2 sigma)^2 / 2 hbar
+            + i (Phi + A^2 / 2 hbar m omega^2 sigma)),
 
-    tau = tan(omega dt / 2) / omega.  A static well is therefore exact at
-    any step; the error is second order in dt through the drive alone.
-    That product is e^{-iH dt / hbar} of the frozen well, so a run of k
-    steps whose midpoint b and C are bitwise unchanged is one such factor
-    with k dt in place of dt (see _blocks for where runs are cut): one FFT
-    pair per block instead of one per step.  Every max(1, n_steps //
-    CHECK_SAMPLES) steps and at the last step, each of which ends a block,
+    so it costs one exp in y, one FFT pair and one kinetic multiply.  The
+    translations e^{i beta k_y} of a natural step (see _time_grid) are
+    applied together at its start, which moves each of its wells by -S,
+    S the sum of beta over the steps after it.  The drive is sampled once
+    per interval between breakpoints.  At the end of every natural step
     the norm is sampled for norm_drift, and TruncationError is raised if
     probability has reached the y boundary.
     """
@@ -213,68 +260,48 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
         raise ValueError("initial state is empty")
     prof = stack.profiles[occ].copy()
     modes = grid.mode_numbers[occ]
+    omega, hbar = cfg.omega, cfg.hbar
+    y, ky = grid.y[None, :], grid.ky
 
-    dt, n_steps = protocol.dt, protocol.n_steps
-    stride = max(1, n_steps // CHECK_SAMPLES)
-
-    b, c, fresh = _midpoint_wells(protocol, modes[:, None], stack.mode_offset)
-    omega = cfg.omega
-    stiffness = cfg.m * omega**2
-    y = grid.y[None, :]
-    starts, lengths = _blocks(fresh, stride, omega * dt)
-    ends = starts + lengths
-    # per block from here on: whether its well is new, its center b and its
-    # constant phase (c times a length of 1 is exact, so a one-step block
-    # keeps the one-step bits); the loop reads plain lists, which index
-    # faster than arrays, and the length 0 after the last block ends it
-    b, c = b[starts], c[starts]
-    const_phase = (-1j * dt / cfg.hbar) * (c * lengths[:, None, None])
-    new_well = fresh[starts].tolist()
-    checked = ((ends % stride == 0) | (ends == n_steps)).tolist()
-    ks = lengths.tolist() + [0]
-
-    # exact harmonic factors of each block length h = k dt
-    kin_half, well_phase = {}, {}
-    for k in np.flatnonzero(np.bincount(lengths)).tolist():
-        h = k * dt
-        tau_half = np.tan(0.5 * omega * h) / omega
-        kin_half[k] = np.exp(-1j * cfg.hbar * grid.ky**2 * tau_half / (2.0 * cfg.m))[None, :]
-        well_phase[k] = -1j * np.sin(omega * h) / omega * stiffness / (2.0 * cfg.hbar)
-    kin_pair = {}  # (length, next length) -> the two half factors between them
-    well = {}  # length -> potential factor of the current well
-
-    norms = [np.sqrt(float((np.abs(prof) ** 2).sum() * grid.dy))]
+    norms = [np.sqrt(float((np.abs(stack.profiles) ** 2).sum() * grid.dy))]
     F = np.fft.fft(prof, axis=1)
-    F *= kin_half[ks[0]]
     psi_y = np.empty_like(F)
-    for i in range(starts.size):
-        k, k_next = ks[i], ks[i + 1]
-        np.fft.ifft(F, axis=1, out=psi_y)
-        if new_well[i]:
-            well = {}
-        factor = well.get(k)
-        if factor is None:
-            d = y - b[i]
-            factor = well[k] = np.exp(well_phase[k] * (d * d) + const_phase[i])
-        psi_y *= factor
-        np.fft.fft(psi_y, axis=1, out=F)
-        if checked[i]:
-            F *= kin_half[k]
+    n_steps = 0
+    for t0, h, n, k in _time_grid(protocol):
+        width = h / k
+        b0, A, beta, phase = _step_coefficients(
+            protocol, modes, stack.mode_offset, t0 + width * np.arange(n * k), width
+        )
+        # per step, as (step, row, 1) arrays: the complete square's centre
+        # and constant, with the well moved by the natural step's later
+        # translations; per natural step, its total translation
+        well_stiffness = cfg.m * omega * np.sin(omega * width)  # m omega^2 sigma
+        moves = beta.reshape(-1, n, k)
+        later = np.cumsum(moves[..., ::-1], axis=2)[..., ::-1] - moves
+        shift = (later[..., 0] + moves[..., 0]).T[:, :, None]
+        centre = (b0 + A / well_stiffness - later.reshape(-1, n * k)).T[:, :, None]
+        const_phase = 1j * (phase + A * A / (2.0 * hbar * well_stiffness)).T[:, :, None]
+        well_phase = -0.5j * well_stiffness / hbar
+        kinetic = (-0.5j * hbar * np.tan(0.5 * omega * width) / (omega * cfg.m)) * ky**2
+        kin_half = np.exp(kinetic)
+        kin_pair = kin_half * kin_half
+        for seg in range(n):
+            F *= np.exp(kinetic + 1j * ky * shift[seg])
+            for s in range(seg * k, (seg + 1) * k):
+                np.fft.ifft(F, axis=1, out=psi_y)
+                d = y - centre[s]
+                psi_y *= np.exp(well_phase * (d * d) + const_phase[s])
+                np.fft.fft(psi_y, axis=1, out=F)
+                F *= kin_pair if s + 1 < (seg + 1) * k else kin_half
             prof = np.fft.ifft(F, axis=1)
             w = np.abs(prof) ** 2
             norms.append(np.sqrt(float(w.sum() * grid.dy)))
             if edge_fraction(w) > TRUNCATION_THRESHOLD:
                 raise TruncationError(
-                    f"probability reached the y boundary at t = {int(ends[i]) * dt:.3f}; "
+                    f"probability reached the y boundary at t = {t0 + (seg + 1) * h:.3f}; "
                     "widen the window or slow the drive"
                 )
-            if k_next:
-                F *= kin_half[k_next]
-        else:
-            pair = kin_pair.get((k, k_next))
-            if pair is None:
-                pair = kin_pair[k, k_next] = kin_half[k] * kin_half[k_next]
-            F *= pair
+        n_steps += n * k
 
     full = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     full[occ] = prof
@@ -282,7 +309,6 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     norms = np.array(norms)
     return EvolutionRecord(
         final_state=final,
-        dt=dt,
         n_steps=n_steps,
         norm_drift=float(np.max(np.abs(norms - norms[0]))),
     )

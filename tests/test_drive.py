@@ -1,10 +1,7 @@
-import re
-
 import numpy as np
 import pytest
 
 from landau_cylinder import ConfigError, DriveProtocol, PathPolyline, drift_displacement
-from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON, STEPS_PER_RAMP
 
 
 def ab_path(cfg):
@@ -134,44 +131,18 @@ def test_multi_segment_time_allocation(cfg):
 # --- validation and stepping -----------------------------------------------
 
 
-def test_dt_snapped_to_divide_duration(cfg):
-    proto = DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, dt=0.003)
-    assert proto.n_steps * proto.dt == pytest.approx(10.0, rel=1e-15)
-    assert proto.dt <= 0.003 * (1 + 1e-12)
-
-
-def test_dt_capped_at_cyclotron_resolution(cfg):
-    proto = DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, dt=0.5)
-    assert proto.dt <= MAX_DT_PER_CYCLOTRON / cfg.omega * (1 + 1e-9)
-
-
-def test_default_dt_resolves_shortest_ramp(cfg):
-    cap = MAX_DT_PER_CYCLOTRON / cfg.omega
-    # slow loop: ramps of 20 leave the cap in charge
-    assert DriveProtocol.from_path(cfg, ab_path(cfg), T=200.0).dt == cap
-    # fast drive: the short segment's ramp of 0.1 * 1.5 sets the step
+def test_requested_dt_is_kept(cfg):
+    # a protocol holds the largest step asked for, unchanged; evolve_tdse's
+    # own grid (tested in test_propagator) decides the steps
     path = PathPolyline(((0.0, 0.0), (3.0, 0.0), (3.0, 1.0)))
-    proto = DriveProtocol.from_path(cfg, path, T=6.0)
-    assert proto.dt == pytest.approx(0.15 / STEPS_PER_RAMP, rel=1e-12)
-    assert proto.n_steps * proto.dt == pytest.approx(6.0, rel=1e-15)
-    # no ramps to resolve: the cap again
-    assert DriveProtocol.from_path(cfg, path, T=6.0, ramp_fraction=0.0).dt == cap
-    assert DriveProtocol.hold(cfg, T=6.0).dt == cap
-    # an explicit dt is kept as given
-    assert DriveProtocol.from_path(cfg, path, T=6.0, dt=0.01).dt == pytest.approx(0.01)
-
-
-def test_dt_limit_message_names_the_cap(cfg):
-    limit = MAX_DT_PER_CYCLOTRON / cfg.omega
-    with pytest.raises(ConfigError, match=re.escape(f"= {MAX_DT_PER_CYCLOTRON:g}/omega")):
-        DriveProtocol(cfg=cfg, T=1.0, dt=2.0 * limit, n_steps=1)
-
-
-def test_steps_must_cover_duration(cfg):
-    assert DriveProtocol(cfg=cfg, T=10.0, dt=0.05, n_steps=200).n_steps == 200
-    for n in (3, 0):
-        with pytest.raises(ConfigError, match="does not cover T"):
-            DriveProtocol(cfg=cfg, T=10.0, dt=0.05, n_steps=n)
+    assert DriveProtocol.from_path(cfg, path, T=6.0).dt is None
+    assert DriveProtocol.hold(cfg, T=6.0).dt is None
+    for dt in (0.003, 0.5, 50.0):
+        assert DriveProtocol.from_path(cfg, path, T=6.0, dt=dt).dt == dt
+        assert DriveProtocol.hold(cfg, T=6.0, dt=dt).dt == dt
+    for dt in (0.0, -0.1):
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            DriveProtocol(cfg=cfg, T=10.0, dt=dt)
 
 
 def test_invalid_inputs_raise(cfg):
@@ -277,9 +248,10 @@ def test_segment_local_sampling_is_bitwise(cfg, ramp_fraction, n_segments):
         edges += [seg.t_start, seg.t_start + seg.duration]
     scalars = list(edges) + [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
     scalars += list(rng.uniform(-1.0, T + 1.0, 100))
-    t_mid = (np.arange(proto.n_steps) + 0.5) * proto.dt
-    k = proto.n_steps // 3
-    windows = [t_mid, t_mid[k:k + 7], np.array([]), np.array([T + 0.5])]
+    t_mid = (np.arange(2000) + 0.5) * (T / 2000)
+    k = 2000 // 3
+    # evolve_tdse samples a (step, node) array
+    windows = [t_mid, t_mid.reshape(-1, 8), t_mid[k:k + 7], np.array([]), np.array([T + 0.5])]
     windows += [np.sort(rng.uniform(e - 0.05, e + 0.05, 5)) for e in edges]
 
     for t in scalars + windows:

@@ -29,14 +29,14 @@ from landau_cylinder import (
     wrap_angle,
 )
 from landau_cylinder import propagator
-from landau_cylinder.drive import MAX_DT_PER_CYCLOTRON
 from landau_cylinder.core import TRUNCATION_THRESHOLD, edge_fraction
 from landau_cylinder.verify import CHECKS, _random_drive
 from landau_cylinder.propagator import (
     CHECK_SAMPLES,
     MAX_BLOCK_ANGLE,
     OCCUPATION_THRESHOLD,
-    _blocks,
+    _step_coefficients,
+    _time_grid,
 )
 
 
@@ -104,12 +104,11 @@ def test_static_evolution_phase(cfg, grid):
 @pytest.mark.parametrize("refine", [1, 10])
 def test_hold_phase_exact_at_any_step(cfg, grid, refine):
     # a static well is propagated without splitting bias: every level keeps
-    # exactly its E_n T / hbar phase at the step cap and below it (Strang
-    # splitting misses by (n + 1/2) omega T (omega dt)^2 / 24)
-    dt = MAX_DT_PER_CYCLOTRON / cfg.omega / refine
+    # exactly its E_n T / hbar phase at any step (Strang splitting misses
+    # by (n + 1/2) omega T (omega dt)^2 / 24)
+    dt = 0.1 / cfg.omega / refine
     T = 20.0
     proto = DriveProtocol.hold(cfg, T=T, dt=dt)
-    assert proto.dt == pytest.approx(dt)
     for n in (0, 1, 2):
         for j in (-1, 0, 1):
             psi0 = landau_eigenstate(cfg, grid, n, j)
@@ -119,78 +118,65 @@ def test_hold_phase_exact_at_any_step(cfg, grid, refine):
 
 
 def test_ab_loop_phase_independent_of_dt(cfg, grid):
-    cap = MAX_DT_PER_CYCLOTRON / cfg.omega
+    # every step is exact, so dt moves the phase only by rounding
     cfg = replace(cfg, phi0=np.pi / 2)
     gammas = [
         run_loop(cfg, grid, ab_loop_spec(cfg, T=200.0, dt=dt)).gamma_measured
-        for dt in (cap, cap / 10)
+        for dt in (None, 0.1, 0.01)
     ]
-    assert abs(wrap_angle(gammas[0] - gammas[1])) < 1e-6
+    assert max(abs(wrap_angle(g - gammas[0])) for g in gammas[1:]) < 1e-10
 
 
 def reference_tdse(psi0, protocol):
-    """The stepper as a plain loop: one step at a time, every factor rebuilt.
+    """The stepper as a plain loop: one exact step at a time, every factor rebuilt.
 
-    Returns the final state, the norm drift and the first check step at
-    which the edge fraction exceeds TRUNCATION_THRESHOLD (None if none
-    does; the loop runs on regardless).
+    Each step applies the factors of _step_coefficients as written there:
+    its own translation e^{i beta k_y} in k space, and the quadratic and
+    linear potential terms in x = y - b0.  Returns the final state, the
+    norm drift and the end time of the first natural step at which the
+    edge fraction exceeds TRUNCATION_THRESHOLD (None if none does; the
+    loop runs on regardless).
     """
     cfg, grid = protocol.cfg, psi0.grid
     stack = psi0.to_modes()
     occ = stack.occupied_rows(OCCUPATION_THRESHOLD)
     prof = stack.profiles[occ].copy()
-    dt, n_steps = protocol.dt, protocol.n_steps
-    stride = max(1, n_steps // CHECK_SAMPLES)
-    omega = cfg.omega
-    y = grid.y[None, :]
-    tau_half = np.tan(0.5 * omega * dt) / omega
-    kin_half = np.exp(-1j * cfg.hbar * grid.ky**2 * tau_half / (2.0 * cfg.m))[None, :]
-    kin_full = kin_half * kin_half
-    well_phase = -1j * np.sin(omega * dt) / omega * cfg.m * omega**2 / (2.0 * cfg.hbar)
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    phi_mid = np.asarray(protocol.flux(t_mid), dtype=float)[:, None, None]
-    ey_mid = np.asarray(protocol.efield(t_mid)[1], dtype=float)[:, None, None]
-    b, c = mode_well(cfg, grid.mode_numbers[occ][:, None], phi_mid, ey_mid, stack.mode_offset)
-    const_phase = (-1j * dt / cfg.hbar) * c
-    norms = [np.sqrt(float((np.abs(prof) ** 2).sum() * grid.dy))]
-    edge_step = None
-    F = np.fft.fft(prof, axis=1)
-    F *= kin_half
-    for s in range(n_steps):
-        psi_y = np.fft.ifft(F, axis=1)
-        d = y - b[s]
-        psi_y *= np.exp(well_phase * (d * d) + const_phase[s])
-        F = np.fft.fft(psi_y, axis=1)
-        last = s == n_steps - 1
-        if last or (s + 1) % stride == 0:
-            F *= kin_half
-            prof = np.fft.ifft(F, axis=1)
-            w = np.abs(prof) ** 2
-            norms.append(np.sqrt(float(w.sum() * grid.dy)))
-            if edge_step is None and edge_fraction(w) > TRUNCATION_THRESHOLD:
-                edge_step = s
-            if not last:
-                F *= kin_half
-        else:
-            F *= kin_full
+    omega, hbar, m = cfg.omega, cfg.hbar, cfg.m
+    y, ky = grid.y[None, :], grid.ky
+    norms = [np.sqrt(float((np.abs(stack.profiles) ** 2).sum() * grid.dy))]
+    edge_time = None
+    for t0, h, n, k in _time_grid(protocol):
+        sub = h / k
+        starts = t0 + sub * np.arange(n * k)
+        b0, A, beta, phase = _step_coefficients(
+            protocol, grid.mode_numbers[occ], stack.mode_offset, starts, sub
+        )
+        kin = np.exp(-1j * hbar * ky**2 * np.tan(0.5 * omega * sub) / omega / (2.0 * m))
+        sigma = np.sin(omega * sub) / omega
+        for s in range(n * k):
+            F = np.fft.fft(prof, axis=1) * np.exp(1j * ky * beta[:, s, None]) * kin
+            x = y - b0[:, s, None]
+            pot = -1j * m * omega**2 * sigma * x * x / (2.0 * hbar) + 1j * A[:, s, None] * x / hbar
+            psi_y = np.fft.ifft(F, axis=1) * np.exp(pot + 1j * phase[:, s, None])
+            prof = np.fft.ifft(np.fft.fft(psi_y, axis=1) * kin, axis=1)
+            if (s + 1) % k == 0:
+                w = np.abs(prof) ** 2
+                norms.append(np.sqrt(float(w.sum() * grid.dy)))
+                if edge_time is None and edge_fraction(w) > TRUNCATION_THRESHOLD:
+                    edge_time = t0 + (s + 1) // k * h
     full = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     full[occ] = prof
     final = Wavefunction.from_modes(ModeStack(grid, full, stack.mode_offset))
     norms = np.array(norms)
-    return final, float(np.max(np.abs(norms - norms[0]))), edge_step
+    return final, float(np.max(np.abs(norms - norms[0]))), edge_time
 
 
 @pytest.mark.parametrize("case", ["winding", "hold", "hold_long", "wiggle", "two_rows"])
 def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
-    # evolve_tdse takes each run of steps with an unchanged midpoint well,
-    # up to the next check step, as one exact step of the frozen well.
-    # Where no run merges (the wiggle's flux moves every step; hold at
-    # T = 20 checks every step) it keeps the one-step arithmetic, so every
-    # bit equals the step-by-step reference.  Merged runs (the winding
-    # loop's cruise, two rows of the rectangle loop, hold_long from its
-    # first block on) compose the same exact factors and agree to rounding.
-    # Rewrite this reference together with the exact-forcing step (ROADMAP
-    # item 1), which changes the loop body.
+    # evolve_tdse applies each natural step's translations at its start,
+    # writes the potential factor as a complete square and merges the
+    # kinetic factors between steps; the step-by-step reference keeps every
+    # factor apart, so the two agree to rounding
     cfg = replace(cfg, phi0=np.pi / 2)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     if case == "winding":
@@ -208,52 +194,59 @@ def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
         proto = rectangle_loop_spec(cfg, height=1.0, T=40.0).protocol(cfg)
     rec = evolve_tdse(psi0, proto)
     expected, drift, _ = reference_tdse(psi0, proto)
-    if case in ("hold", "wiggle"):
-        assert np.array_equal(rec.final_state.amplitudes, expected.amplitudes)
-        assert rec.norm_drift == drift
-    else:
-        assert np.max(np.abs(rec.final_state.amplitudes - expected.amplitudes)) <= 1e-12
-        assert abs(rec.norm_drift - drift) <= 1e-12
+    assert np.max(np.abs(rec.final_state.amplitudes - expected.amplitudes)) <= 1e-12
+    assert abs(rec.norm_drift - drift) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    fresh=st.lists(st.booleans(), min_size=1, max_size=300),
-    stride=st.integers(1, 40),
-    omega_dt=st.floats(0.04, 2.0),
-    all_fresh=st.booleans(),
+    durations=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=4),
+    ramp_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+    omega=st.floats(0.2, 5.0),
+    dt=st.one_of(st.none(), st.floats(1e-3, 5.0)),
 )
-def test_block_partition(fresh, stride, omega_dt, all_fresh):
-    fresh = np.ones(len(fresh), dtype=bool) if all_fresh else np.array(fresh)
-    n_steps = fresh.size
-    starts, lengths = _blocks(fresh, stride, omega_dt)
-    ends = starts + lengths
-    # every step once, in order
-    assert starts[0] == 0 and ends[-1] == n_steps
-    assert np.all(lengths >= 1) and np.array_equal(starts[1:], ends[:-1])
-    # every check step ends a block
-    checks = [s for s in range(n_steps) if (s + 1) % stride == 0 or s == n_steps - 1]
-    assert set(s + 1 for s in checks) <= set(ends.tolist())
-    # a fresh step can only start a block
-    for s0, e in zip(starts, ends):
-        assert not fresh[s0 + 1 : e].any()
-    # a merged step stays within the angle cap
-    merged = lengths > 1
-    assert np.all(lengths[merged] * omega_dt <= MAX_BLOCK_ANGLE * (1 + 1e-12))
-    if fresh.all():
-        assert np.all(lengths == 1)
+def test_time_grid(cfg, durations, ramp_fraction, omega, dt):
+    # segments of the given durations along x; B sets omega
+    cfg = replace(cfg, B=omega * cfg.m * cfg.c / cfg.q)
+    T = sum(durations)
+    vertices = [(0.0, 0.0)]
+    for d in durations:
+        vertices.append((vertices[-1][0] + d, 0.0))
+    proto = DriveProtocol.from_path(
+        cfg, PathPolyline(tuple(vertices)), T=T, dt=dt, ramp_fraction=ramp_fraction
+    )
+    steps = _time_grid(proto)
+    h_max = min(MAX_BLOCK_ANGLE / cfg.omega, T / CHECK_SAMPLES) * (1 + 1e-9)
+    edges = [t0 + i * h for t0, h, n, _ in steps for i in range(n)] + [T]
+    # the intervals chain from 0 to T and start at every breakpoint
+    ends = [t0 + n * h for t0, h, n, _ in steps]
+    assert steps[0][0] == 0.0
+    np.testing.assert_allclose(ends[:-1], [t0 for t0, *_ in steps[1:]], rtol=0, atol=1e-12 * T)
+    assert ends[-1] == pytest.approx(T, rel=1e-12)
+    np.testing.assert_array_equal([t0 for t0, *_ in steps], proto.breakpoints()[:-1])
+    assert np.all(np.diff(edges) > 0)
+    for _, h, n, k in steps:
+        assert n >= 1 and k >= 1
+        # a natural step is short enough for the kinetic factor and the checks
+        assert h <= h_max
+        if dt is None:
+            assert k == 1
+        else:
+            # an explicit dt is honoured by the fewest equal steps
+            assert h / k <= dt * (1 + 1e-9)
+            assert k == 1 or h / (k - 1) > dt
 
 
 def test_truncation_time_is_a_reference_check_step(cfg, grid):
     # a packet kicked hard in a static well swings out to the y edge at
-    # t ~ pi / 2 omega; checks run every 3rd step and blocks merge between
-    # them, yet the error reports the reference's first offending check
+    # t ~ pi / 2 omega; checks end every natural step of 4 steps, yet the
+    # error reports the reference's first offending check
     proto = DriveProtocol.hold(cfg, T=10.0, dt=0.01)
-    assert proto.n_steps // CHECK_SAMPLES > 1
+    assert [k for *_, k in _time_grid(proto)] == [4]
     psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0), momentum=9.0)
-    _, _, edge_step = reference_tdse(psi0, proto)
-    assert edge_step is not None
-    t_edge = f"t = {(edge_step + 1) * proto.dt:.3f};"
+    _, _, edge_time = reference_tdse(psi0, proto)
+    assert edge_time is not None
+    t_edge = f"t = {edge_time:.3f};"
     with pytest.raises(TruncationError, match=t_edge):
         evolve_tdse(psi0, proto)
 
@@ -321,10 +314,13 @@ def test_hold_returns_every_row(cfg, grid):
     big, small = (landau_eigenstate(cfg, grid, 0, j) for j in (0, 1))
     psi0 = Wavefunction(grid, big.amplitudes + 1e-4 * small.amplitudes, big.mode_offset)
     psi0 = psi0.normalized()
-    final = evolve_tdse(psi0, DriveProtocol.hold(cfg, T=T)).final_state
+    rec = evolve_tdse(psi0, DriveProtocol.hold(cfg, T=T))
+    final = rec.final_state
     want = psi0.to_modes().profiles * np.exp(-1j * landau_energy(cfg, 0) * T / cfg.hbar)
     row_err = np.sqrt(np.sum(np.abs(final.to_modes().profiles - want) ** 2, axis=1) * grid.dy)
     assert np.max(row_err) < 1e-12
+    # a row left out of the propagation would show in the norm drift too
+    assert rec.norm_drift <= 1e-12
 
 
 def test_oracle_rejects_multimode(cfg, grid):
@@ -353,7 +349,7 @@ def test_evolution_record_contents(cfg, grid):
     proto = DriveProtocol.from_path(cfg, path, T=30.0, dt=0.005)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     rec = evolve_tdse(psi0, proto)
-    assert rec.n_steps * rec.dt == pytest.approx(30.0, rel=1e-15)
+    assert rec.n_steps == sum(n * k for *_, n, k in _time_grid(proto))
     assert rec.norm_drift < 1e-12
     # the state rides the moving well to center + R_y(T), up to the
     # coherent ring left by the ramp, amplitude ~ drift speed / omega = 0.06
