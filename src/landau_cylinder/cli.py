@@ -65,7 +65,6 @@ DEFAULT_CONFIG = {
     "experiment": {
         "kind": "ab_loop",
         "T": 200.0,
-        "dt": None,
         "n": 0,
         "j": 0,
         "ramp_fraction": 0.1,
@@ -85,14 +84,13 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 
 # section -> key -> (type, optional (test, message)), checked in this order.
-# `str` values are kept as given; `float | None` may be null.
+# `str` values are kept as given.
 _RULES = {
     "physics": dict.fromkeys(DEFAULT_CONFIG["physics"], (float, None)),
     "grid": {"Nx": (int, None), "Ny": (int, None), "y_min": (float, None), "y_max": (float, None)},
     "experiment": {
         "kind": (str, (lambda v: v in _EXPERIMENT_KINDS, f"must be one of {_EXPERIMENT_KINDS}")),
         "T": (float, _POSITIVE),
-        "dt": (float | None, (lambda v: v is None or v > 0, "must be positive when set")),
         "n": (int, _NON_NEGATIVE),
         "j": (int, None),
         "ramp_fraction": (float, (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]")),
@@ -117,10 +115,8 @@ def _fail(path: str, msg: str) -> ConfigError:
     return ConfigError(f"{path}: {msg}")
 
 
-def _as_number(path: str, value, *, integer=False, allow_none=False):
+def _as_number(path: str, value, *, integer=False):
     if value is None:
-        if allow_none:
-            return None
         raise _fail(path, "required key missing or null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {type(value).__name__}")
@@ -143,7 +139,7 @@ def _check(path: str, value, kind, rule):
         values = [_as_number(f"{path}[{i}]", v) for i, v in enumerate(value)]
         return [_check(f"{path}[{i}]", v, float, rule) for i, v in enumerate(values)]
     if kind is not str:
-        value = _as_number(path, value, integer=kind is int, allow_none=kind == float | None)
+        value = _as_number(path, value, integer=kind is int)
     if rule is not None and not rule[0](value):
         raise _fail(path, rule[1])
     return value
@@ -276,7 +272,7 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
 def _schedule(conf: dict) -> dict:
     """The LoopSpec fields shared by every experiment kind."""
     e = conf["experiment"]
-    return dict(T=e["T"], n=e["n"], j=e["j"], dt=e["dt"], ramp_fraction=e["ramp_fraction"])
+    return dict(T=e["T"], n=e["n"], j=e["j"], ramp_fraction=e["ramp_fraction"])
 
 
 def _ab_spec(conf: dict, cfg: PhysicsConfig) -> LoopSpec:

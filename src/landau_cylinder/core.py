@@ -81,9 +81,9 @@ def wrap_angle(angle):
     return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
 
 
-def edge_fraction(density: np.ndarray, cells: int = BOUNDARY_CELLS) -> float:
-    """Fraction of a density array (y along the last axis) within `cells` of the y edges."""
-    edge = density[..., :cells].sum() + density[..., -cells:].sum()
+def edge_fraction(density: np.ndarray) -> float:
+    """Fraction of a density array (y along the last axis) within BOUNDARY_CELLS of the y edges."""
+    edge = density[..., :BOUNDARY_CELLS].sum() + density[..., -BOUNDARY_CELLS:].sum()
     total = density.sum()
     return float(edge / total) if total > 0.0 else 0.0
 
@@ -320,15 +320,15 @@ class Wavefunction:
     def probability_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def boundary_mass(self, cells: int = BOUNDARY_CELLS) -> float:
-        """Fraction of probability within `cells` grid cells of the y edges."""
-        return edge_fraction(self.probability_density(), cells)
+    def boundary_mass(self) -> float:
+        """Fraction of probability within BOUNDARY_CELLS grid cells of the y edges."""
+        return edge_fraction(self.probability_density())
 
-    def check_truncation(self, threshold: float = TRUNCATION_THRESHOLD) -> None:
+    def check_truncation(self) -> None:
         mass = self.boundary_mass()
-        if mass > threshold:
+        if mass > TRUNCATION_THRESHOLD:
             raise TruncationError(
-                f"boundary probability mass {mass:.3e} exceeds {threshold:.1e}; "
+                f"boundary probability mass {mass:.3e} exceeds {TRUNCATION_THRESHOLD:.1e}; "
                 "widen the y window or shorten the drive"
             )
 

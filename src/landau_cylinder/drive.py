@@ -17,7 +17,8 @@ which are the bits the full formulas give there, so every output is
 bit-identical to summing all segments.  Between consecutive
 breakpoints() (segment starts and ramp ends) every field is smooth, so
 evolve_tdse and evolve_oracle never step across one.  A protocol holds no
-time grid: its optional dt only caps the steps evolve_tdse takes.
+time grid: its optional dt only splits evolve_tdse's steps, which are exact
+at any length, so no experiment sets it.
 
 The drift kinetic action
 
@@ -106,10 +107,10 @@ class SegmentSchedule:
 class DriveProtocol:
     """A complete drive: a scheduled polyline path, or no drive at all.
 
-    Use the constructors: from_path (every loop and test drive) or hold
-    (no drive; path is None and segments is empty).  dt is the largest
-    step evolve_tdse may take, or None for its own grid; any positive
-    value is valid.
+    from_path builds every driven protocol; DriveProtocol(cfg=cfg, T=T)
+    is no drive at all (path is None and segments is empty).  dt is the
+    largest step evolve_tdse may take, or None for its own grid; any
+    positive value is valid, and none changes a result beyond rounding.
     """
 
     cfg: PhysicsConfig
@@ -159,11 +160,6 @@ class DriveProtocol:
             cfg=cfg, T=T, dt=dt, ramp_fraction=ramp_fraction,
             path=path, segments=tuple(segments),
         )
-
-    @classmethod
-    def hold(cls, cfg: PhysicsConfig, T: float, dt: Optional[float] = None) -> "DriveProtocol":
-        """No drive: constant flux, stationary Hamiltonian."""
-        return cls(cfg=cfg, T=T, dt=dt)
 
     # -- kinematics -------------------------------------------------------
 

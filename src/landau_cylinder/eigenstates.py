@@ -99,11 +99,11 @@ def _check_support(grid: CylinderGrid, center: float, n: int, l_B: float) -> Non
 
 
 def _single_mode_state(
-    grid: CylinderGrid, j: int, profile: np.ndarray, mode_offset: float
+    grid: CylinderGrid, j: int, profile: np.ndarray
 ) -> Wavefunction:
     profiles = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     profiles[grid.mode_row(j)] = profile
-    psi = Wavefunction.from_modes(ModeStack(grid, profiles, mode_offset))
+    psi = Wavefunction.from_modes(ModeStack(grid, profiles))
     return psi.normalized()
 
 
@@ -112,16 +112,14 @@ def landau_eigenstate(
     grid: CylinderGrid,
     n: int,
     j: int,
-    phi=None,
-    mode_offset: float = 0.0,
 ) -> Wavefunction:
-    """Eigenstate e^{i kappa_j x} phi_n(y - y_c(j)) / sqrt(l), grid normalized."""
+    """Eigenstate e^{i kappa_j x} phi_n(y - y_c(j)) / sqrt(l) at flux cfg.phi0, grid normalized."""
     if n < 0:
         raise ConfigError(f"level index must be non-negative (got {n})")
-    center = mode_center(cfg, j, phi, mode_offset)
+    center = mode_center(cfg, j)
     _check_support(grid, center, n, cfg.magnetic_length)
     profile = hermite_profile(cfg, grid.y, center, n).astype(complex)
-    return _single_mode_state(grid, j, profile, mode_offset)
+    return _single_mode_state(grid, j, profile)
 
 
 def displaced_gaussian(
@@ -131,14 +129,13 @@ def displaced_gaussian(
     center: float,
     momentum: float = 0.0,
     n: int = 0,
-    mode_offset: float = 0.0,
 ) -> Wavefunction:
     """Displaced level-n eigenstate (a coherent state for n = 0) in mode j."""
     _check_support(grid, center, n, cfg.magnetic_length)
     profile = hermite_profile(cfg, grid.y, center, n) * np.exp(
         1j * momentum * (grid.y - center) / cfg.hbar
     )
-    return _single_mode_state(grid, j, profile, mode_offset)
+    return _single_mode_state(grid, j, profile)
 
 
 @dataclass(frozen=True)

@@ -95,12 +95,11 @@ class LoopSpec:
     T: float
     n: int = 0
     j: int = 0
-    dt: Optional[float] = None
     ramp_fraction: float = 0.1
 
     def protocol(self, cfg: PhysicsConfig) -> DriveProtocol:
         return DriveProtocol.from_path(
-            cfg, self.path, self.T, dt=self.dt, ramp_fraction=self.ramp_fraction
+            cfg, self.path, self.T, ramp_fraction=self.ramp_fraction
         )
 
 
@@ -113,13 +112,12 @@ def ab_loop_spec(
     T: Optional[float] = None,
     n: int = 0,
     j: int = 0,
-    dt: Optional[float] = None,
     ramp_fraction: float = 0.1,
     winding: int = 1,
 ) -> LoopSpec:
     """Straight loop around the cylinder: encloses the flux, sweeps no area."""
     path = PathPolyline(((0.0, 0.0), (winding * cfg.l, 0.0)))
-    return LoopSpec("ab_loop", path, _default_T(cfg, T), n, j, dt, ramp_fraction)
+    return LoopSpec("ab_loop", path, _default_T(cfg, T), n, j, ramp_fraction)
 
 
 def rectangle_loop_spec(
@@ -128,7 +126,6 @@ def rectangle_loop_spec(
     T: Optional[float] = None,
     n: int = 0,
     j: int = 0,
-    dt: Optional[float] = None,
     ramp_fraction: float = 0.1,
 ) -> LoopSpec:
     """Loop around the cylinder displaced axially: up, around, back down.
@@ -138,7 +135,7 @@ def rectangle_loop_spec(
     """
     l = cfg.l
     path = PathPolyline(((0.0, 0.0), (0.0, height), (l, height), (l, 0.0)))
-    return LoopSpec("general_loop", path, _default_T(cfg, T, 2000.0), n, j, dt, ramp_fraction)
+    return LoopSpec("general_loop", path, _default_T(cfg, T, 2000.0), n, j, ramp_fraction)
 
 
 def _excursion_vertices(area: float) -> tuple[tuple[float, float], ...]:
@@ -156,7 +153,6 @@ def fig1_loop_spec(
     T: Optional[float] = None,
     n: int = 0,
     j: int = 0,
-    dt: Optional[float] = None,
     ramp_fraction: float = 0.1,
 ) -> LoopSpec:
     """Winding loop with a contractible square excursion bolted on.
@@ -173,7 +169,7 @@ def fig1_loop_spec(
     area = phi_B / cfg.B if variant == "blue" else -phi_B / cfg.B
     vertices = _excursion_vertices(area) + ((cfg.l, 0.0),)
     path = PathPolyline(vertices)
-    return LoopSpec(f"fig1_{variant}", path, _default_T(cfg, T, 2000.0), n, j, dt, ramp_fraction)
+    return LoopSpec(f"fig1_{variant}", path, _default_T(cfg, T, 2000.0), n, j, ramp_fraction)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,6 @@ class ExperimentResult:
     (dynamical_phase = E_n T / hbar and drift_action); gamma_raw subtracts
     only dynamical_phase.  phi_B = B * swept area is the surface flux
     enclosed by the loop; enclosed_flux_total = winding * phi + phi_B.
-    dt is the largest step the spec asked for (None: the integrator's grid).
     """
 
     kind: str
@@ -193,7 +188,6 @@ class ExperimentResult:
     n: int
     j: int
     T: float
-    dt: Optional[float]
     gamma_measured: float
     gamma_predicted: float
     gamma_raw: float
@@ -253,7 +247,6 @@ def _run_spec(
         n=spec.n,
         j=spec.j,
         T=spec.T,
-        dt=spec.dt,
         gamma_measured=gamma,
         gamma_predicted=predicted,
         gamma_raw=gamma_raw,
@@ -297,12 +290,11 @@ def run_fig1_comparison(
     T: Optional[float] = None,
     n: int = 0,
     j: int = 0,
-    dt: Optional[float] = None,
     ramp_fraction: float = 0.1,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
 ) -> Fig1Comparison:
     blue, green = (
-        run_loop(cfg, grid, fig1_loop_spec(cfg, v, phi_B, T, n, j, dt, ramp_fraction), min_fidelity)
+        run_loop(cfg, grid, fig1_loop_spec(cfg, v, phi_B, T, n, j, ramp_fraction), min_fidelity)
         for v in ("blue", "green")
     )
     return Fig1Comparison(blue=blue, green=green)
@@ -339,7 +331,7 @@ def flux_sweep(
             blank = dict.fromkeys((f.name for f in fields(ExperimentResult)), float("nan"))
             rows.append(ExperimentResult(**{
                 **blank, "kind": spec.kind, "phi": float(phi), "n": spec.n, "j": spec.j,
-                "T": spec.T, "dt": spec.dt, "gamma_unwrapped": None,
+                "T": spec.T, "gamma_unwrapped": None,
                 "error": f"{type(exc).__name__}: {exc}",
             }))
 

@@ -82,6 +82,7 @@ MAX_BLOCK_ANGLE = np.pi / 2
 GAUSS_NODES = 10
 OCCUPATION_THRESHOLD = 1e-14
 ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
+COMPLETENESS_TOL = 1e-10
 
 
 def apply_hamiltonian(
@@ -319,8 +320,6 @@ class OracleResult:
     """Exact reference evolution of a displaced eigenstate."""
 
     final_state: Wavefunction
-    n: int
-    j: int
 
 
 def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
@@ -415,7 +414,7 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     profiles[row] = norm0 * np.exp(1j * phase) * prof_T
     final = Wavefunction.from_modes(ModeStack(grid, profiles, theta))
 
-    return OracleResult(final_state=final, n=n, j=j)
+    return OracleResult(final_state=final)
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,13 +439,13 @@ def factorized_evolution(
     protocol: DriveProtocol,
     tdse_state: Optional[Wavefunction] = None,
     n_max: int = 40,
-    completeness_tol: float = 1e-10,
 ) -> FactorizationReport:
     """Compare the TDSE against the adiabatic factorization g M(C) D.
 
     D = exp(-i H(0) T / hbar) acts per mode in the oscillator eigenbasis of
-    the initial well (n <= n_max, expansion completeness enforced); M(C) is
-    the path-ordered magnetic translation along the protocol's path;
+    the initial well (n <= n_max; a mode whose expansion misses more than
+    COMPLETENESS_TOL of its weight raises TruncationError); M(C) is the
+    path-ordered magnetic translation along the protocol's path;
     g = exp(i q B R_y(T) x / hbar c) restores single-valuedness when the
     drift ends off axis.  Pass tdse_state to reuse an existing run.
     """
@@ -471,7 +470,7 @@ def factorized_evolution(
         coeffs = basis @ chi * grid.dy
         weight = float(np.sum(np.abs(coeffs) ** 2) / (np.sum(np.abs(chi) ** 2) * grid.dy))
         completeness = min(completeness, weight)
-        if weight < 1.0 - completeness_tol:
+        if weight < 1.0 - COMPLETENESS_TOL:
             raise TruncationError(
                 f"oscillator expansion of mode {j} incomplete ({weight:.12f}); "
                 f"raise n_max above {n_max}"

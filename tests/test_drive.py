@@ -136,10 +136,10 @@ def test_requested_dt_is_kept(cfg):
     # own grid (tested in test_propagator) decides the steps
     path = PathPolyline(((0.0, 0.0), (3.0, 0.0), (3.0, 1.0)))
     assert DriveProtocol.from_path(cfg, path, T=6.0).dt is None
-    assert DriveProtocol.hold(cfg, T=6.0).dt is None
+    assert DriveProtocol(cfg=cfg, T=6.0).dt is None
     for dt in (0.003, 0.5, 50.0):
         assert DriveProtocol.from_path(cfg, path, T=6.0, dt=dt).dt == dt
-        assert DriveProtocol.hold(cfg, T=6.0, dt=dt).dt == dt
+        assert DriveProtocol(cfg=cfg, T=6.0, dt=dt).dt == dt
     for dt in (0.0, -0.1):
         with pytest.raises(ConfigError, match="dt must be positive"):
             DriveProtocol(cfg=cfg, T=10.0, dt=dt)
@@ -155,7 +155,7 @@ def test_invalid_inputs_raise(cfg):
 
 
 def test_hold_protocol(cfg):
-    proto = DriveProtocol.hold(cfg, T=5.0)
+    proto = DriveProtocol(cfg=cfg, T=5.0)
     rx, ry = proto.displacement(3.0)
     assert float(rx) == 0.0 and float(ry) == 0.0
     ex, ey = proto.efield(np.array([1.0, 2.0]))

@@ -143,7 +143,7 @@ def test_mirrored_loop_isolates_winding_phase(cfg, grid, loop, phi):
 
 def test_csv_row_order():
     res = ExperimentResult(
-        kind="ab_loop", phi=1.0, phi_B=2.0, n=0, j=0, T=3.0, dt=0.01,
+        kind="ab_loop", phi=1.0, phi_B=2.0, n=0, j=0, T=3.0,
         gamma_measured=4.0, gamma_predicted=5.0, gamma_raw=6.0,
         dynamical_phase=7.0, drift_action=8.0, fidelity=9.0,
         enclosed_flux_total=10.0, norm_drift=11.0,

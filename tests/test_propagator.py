@@ -25,7 +25,6 @@ from landau_cylinder import (
     mode_center,
     mode_well,
     rectangle_loop_spec,
-    run_loop,
     wrap_angle,
 )
 from landau_cylinder import propagator
@@ -40,8 +39,7 @@ from landau_cylinder.propagator import (
 )
 
 
-def closed_wiggle(T, dt=5e-4):
-    return ((0.0, 0.0), (0.8, 0.6), (0.0, 0.0)), T, dt
+WIGGLE = PathPolyline(((0.0, 0.0), (0.8, 0.6), (0.0, 0.0)))
 
 
 # --- Hamiltonian application ----------------------------------------------
@@ -92,13 +90,13 @@ def test_mode_well_matches_gauge_potential(grid):
 
 
 def test_static_evolution_phase(cfg, grid):
-    proto = DriveProtocol.hold(cfg, T=3.0, dt=0.002)
+    proto = DriveProtocol(cfg=cfg, T=3.0)
     psi0 = landau_eigenstate(cfg, grid, 1, 0)
     rec = evolve_tdse(psi0, proto)
     overlap = inner_product(psi0, rec.final_state)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
     expected = -landau_energy(cfg, 1) * 3.0 / cfg.hbar
-    assert np.angle(overlap) == pytest.approx(np.angle(np.exp(1j * expected)), abs=1e-5)
+    assert np.angle(overlap) == pytest.approx(np.angle(np.exp(1j * expected)), abs=1e-12)
 
 
 @pytest.mark.parametrize("refine", [1, 10])
@@ -108,7 +106,7 @@ def test_hold_phase_exact_at_any_step(cfg, grid, refine):
     # by (n + 1/2) omega T (omega dt)^2 / 24)
     dt = 0.1 / cfg.omega / refine
     T = 20.0
-    proto = DriveProtocol.hold(cfg, T=T, dt=dt)
+    proto = DriveProtocol(cfg=cfg, T=T, dt=dt)
     for n in (0, 1, 2):
         for j in (-1, 0, 1):
             psi0 = landau_eigenstate(cfg, grid, n, j)
@@ -118,13 +116,15 @@ def test_hold_phase_exact_at_any_step(cfg, grid, refine):
 
 
 def test_ab_loop_phase_independent_of_dt(cfg, grid):
-    # every step is exact, so dt moves the phase only by rounding
+    # every step is exact, so dt moves the return phase only by rounding
     cfg = replace(cfg, phi0=np.pi / 2)
-    gammas = [
-        run_loop(cfg, grid, ab_loop_spec(cfg, T=200.0, dt=dt)).gamma_measured
-        for dt in (None, 0.1, 0.01)
-    ]
-    assert max(abs(wrap_angle(g - gammas[0])) for g in gammas[1:]) < 1e-10
+    path = ab_loop_spec(cfg).path
+    psi0 = landau_eigenstate(cfg, grid, 0, 0)
+    phases = []
+    for dt in (None, 0.1, 0.01):
+        proto = DriveProtocol.from_path(cfg, path, T=200.0, dt=dt)
+        phases.append(np.angle(inner_product(psi0, evolve_tdse(psi0, proto).final_state)))
+    assert max(abs(wrap_angle(p - phases[0])) for p in phases[1:]) < 1e-10
 
 
 def reference_tdse(psi0, protocol):
@@ -182,12 +182,11 @@ def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
     if case == "winding":
         proto = ab_loop_spec(cfg, T=200.0).protocol(cfg)
     elif case == "hold":
-        proto = DriveProtocol.hold(cfg, T=20.0)
+        proto = DriveProtocol(cfg=cfg, T=20.0)
     elif case == "hold_long":
-        proto = DriveProtocol.hold(cfg, T=3.0, dt=0.002)
+        proto = DriveProtocol(cfg=cfg, T=3.0, dt=0.002)
     elif case == "wiggle":
-        pts, T, dt = closed_wiggle(T=4.0, dt=1e-3)
-        proto = DriveProtocol.from_path(cfg, PathPolyline(pts), T=T, dt=dt)
+        proto = DriveProtocol.from_path(cfg, WIGGLE, T=4.0, dt=1e-3)
     else:
         amps = psi0.amplitudes + landau_eigenstate(cfg, grid, 1, 1).amplitudes
         psi0 = Wavefunction(grid, amps, 0.0).normalized()
@@ -241,7 +240,7 @@ def test_truncation_time_is_a_reference_check_step(cfg, grid):
     # a packet kicked hard in a static well swings out to the y edge at
     # t ~ pi / 2 omega; checks end every natural step of 4 steps, yet the
     # error reports the reference's first offending check
-    proto = DriveProtocol.hold(cfg, T=10.0, dt=0.01)
+    proto = DriveProtocol(cfg=cfg, T=10.0, dt=0.01)
     assert [k for *_, k in _time_grid(proto)] == [4]
     psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0), momentum=9.0)
     _, _, edge_time = reference_tdse(psi0, proto)
@@ -252,38 +251,35 @@ def test_truncation_time_is_a_reference_check_step(cfg, grid):
 
 
 def test_tdse_matches_oracle_adiabatic(cfg, grid):
-    pts, T, dt = closed_wiggle(T=40.0, dt=1e-3)
-    proto = DriveProtocol.from_path(cfg, PathPolyline(pts), T=T, dt=dt)
+    proto = DriveProtocol.from_path(cfg, WIGGLE, T=40.0)
     psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0) + 0.3)
     num = evolve_tdse(psi0, proto).final_state
     ora = evolve_oracle(psi0, proto).final_state
     overlap = inner_product(num, ora)
-    assert abs(overlap) == pytest.approx(1.0, abs=1e-9)
-    assert abs(np.angle(overlap)) < 1e-5
+    assert abs(1.0 - abs(overlap)) < 3e-12
+    assert abs(np.angle(overlap)) < 1e-11
 
 
 def test_tdse_matches_oracle_violent(cfg, grid):
     # drive period comparable to the cyclotron period: nothing adiabatic
-    pts, T, dt = closed_wiggle(T=3.0)
-    proto = DriveProtocol.from_path(cfg, PathPolyline(pts), T=T, dt=dt)
+    proto = DriveProtocol.from_path(cfg, WIGGLE, T=3.0)
     psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0) - 0.5, momentum=0.6, n=2)
     num = evolve_tdse(psi0, proto).final_state
     ora = evolve_oracle(psi0, proto).final_state
     overlap = inner_product(num, ora)
-    assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
-    assert abs(np.angle(overlap)) < 1e-5
+    assert abs(1.0 - abs(overlap)) < 3e-12
+    assert abs(np.angle(overlap)) < 1e-11
 
 
 def test_default_dt_matches_oracle_on_fast_drive(cfg, grid):
     # a criterion-7-style drive (ramps of 0.1) needs no explicit dt
-    pts, T, _ = closed_wiggle(T=4.0)
-    proto = DriveProtocol.from_path(cfg, PathPolyline(pts), T=T)
+    proto = DriveProtocol.from_path(cfg, WIGGLE, T=4.0)
     psi0 = displaced_gaussian(cfg, grid, j=1, center=mode_center(cfg, 1) + 0.5, momentum=-0.4, n=1)
     num = evolve_tdse(psi0, proto).final_state
     ora = evolve_oracle(psi0, proto).final_state
     overlap = inner_product(num, ora)
-    assert abs(1.0 - abs(overlap)) < 1e-6
-    assert abs(np.angle(overlap)) < 1e-6
+    assert abs(1.0 - abs(overlap)) < 3e-12
+    assert abs(np.angle(overlap)) < 1e-11
 
 
 def test_oracle_agrees_with_tighter_rerun(cfg, grid, monkeypatch):
@@ -314,7 +310,7 @@ def test_hold_returns_every_row(cfg, grid):
     big, small = (landau_eigenstate(cfg, grid, 0, j) for j in (0, 1))
     psi0 = Wavefunction(grid, big.amplitudes + 1e-4 * small.amplitudes, big.mode_offset)
     psi0 = psi0.normalized()
-    rec = evolve_tdse(psi0, DriveProtocol.hold(cfg, T=T))
+    rec = evolve_tdse(psi0, DriveProtocol(cfg=cfg, T=T))
     final = rec.final_state
     want = psi0.to_modes().profiles * np.exp(-1j * landau_energy(cfg, 0) * T / cfg.hbar)
     row_err = np.sqrt(np.sum(np.abs(final.to_modes().profiles - want) ** 2, axis=1) * grid.dy)
@@ -328,7 +324,7 @@ def test_oracle_rejects_multimode(cfg, grid):
     b = landau_eigenstate(cfg, grid, 0, 1)
     psi = Wavefunction(grid, (a.amplitudes + b.amplitudes) / np.sqrt(2), 0.0)
     with pytest.raises(ValueError):
-        evolve_oracle(psi, DriveProtocol.hold(cfg, T=1.0))
+        evolve_oracle(psi, DriveProtocol(cfg=cfg, T=1.0))
 
 
 def test_oracle_rejects_non_eigen_profile(cfg, grid):
@@ -338,7 +334,7 @@ def test_oracle_rejects_non_eigen_profile(cfg, grid):
     prof[0] = np.exp(-((y - 1.2) ** 2) / 2) + np.exp(-((y + 1.2) ** 2) / 2)
     psi = Wavefunction.from_modes(ModeStack(grid, prof, 0.0)).normalized()
     with pytest.raises(ValueError):
-        evolve_oracle(psi, DriveProtocol.hold(cfg, T=1.0))
+        evolve_oracle(psi, DriveProtocol(cfg=cfg, T=1.0))
 
 
 # --- records and guards ------------------------------------------------------
@@ -346,7 +342,7 @@ def test_oracle_rejects_non_eigen_profile(cfg, grid):
 
 def test_evolution_record_contents(cfg, grid):
     path = PathPolyline(((0.0, 0.0), (0.0, 1.5)))
-    proto = DriveProtocol.from_path(cfg, path, T=30.0, dt=0.005)
+    proto = DriveProtocol.from_path(cfg, path, T=30.0)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     rec = evolve_tdse(psi0, proto)
     assert rec.n_steps == sum(n * k for *_, n, k in _time_grid(proto))
@@ -373,7 +369,7 @@ def test_factorization_phase_is_drift_action(cfg, grid):
     # state-independent; at T = 100 the factorized product matches the
     # TDSE up to exactly that phase
     path = PathPolyline(((0.0, 0.0), (cfg.l, 0.0)))
-    proto = DriveProtocol.from_path(cfg, path, T=100.0, dt=0.005)
+    proto = DriveProtocol.from_path(cfg, path, T=100.0)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     report = factorized_evolution(psi0, proto)
     assert report.completeness > 1.0 - 1e-12
@@ -389,7 +385,7 @@ def test_factorization_discrepancy_shrinks_with_T(cfg, grid):
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     gaps = []
     for T in (50.0, 100.0):
-        proto = DriveProtocol.from_path(cfg, path, T=T, dt=0.01)
+        proto = DriveProtocol.from_path(cfg, path, T=T)
         gaps.append(factorized_evolution(psi0, proto).discrepancy_norm)
     assert gaps[1] < gaps[0]
 
@@ -397,6 +393,6 @@ def test_factorization_discrepancy_shrinks_with_T(cfg, grid):
 def test_factorization_completeness_guard(cfg, grid):
     # far-displaced packet needs many oscillator levels: n_max=1 cannot hold it
     psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0) + 2.5)
-    proto = DriveProtocol.hold(cfg, T=1.0)
+    proto = DriveProtocol(cfg=cfg, T=1.0)
     with pytest.raises(TruncationError):
         factorized_evolution(psi0, proto, n_max=1)
