@@ -5,7 +5,7 @@ Subcommands:
   run              one cyclic transport experiment (JSON + CSV row)
   sweep            Berry phase vs threading flux (CSV + fit JSON)
   adiabatic-study  phase/fidelity/factorization error vs drive duration
-  verify           the self-check table of verify.py on its quick inputs
+  verify           every row of verify.py's self-check table, on its quick inputs if any
 
 All outputs are deterministic for a fixed config and seed: files embed the
 resolved config (never wall-clock data), floats are written with 17
@@ -35,7 +35,7 @@ from .core import (
     Wavefunction,
     wrap_angle,
 )
-from .eigenstates import eigen_table, landau_energy
+from .eigenstates import eigen_table, landau_eigenstate
 from .experiments import (
     ExperimentResult,
     LoopSpec,
@@ -226,20 +226,10 @@ def write_csv(path: Path, columns, rows, conf: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def write_json(path: Path, payload: dict, conf: dict) -> None:
     payload = dict(payload)
     payload["config"] = conf
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _result_report(tag: str, res: ExperimentResult) -> str:
@@ -256,7 +246,7 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
     table = eigen_table(cfg, grid, conf["eigen"]["n_max"], conf["eigen"]["j_max"])
     rows = []
     for entry in table:
-        psi = entry.build(cfg, grid)
+        psi = landau_eigenstate(cfg, grid, entry.n, entry.j)
         hpsi = apply_hamiltonian(psi, cfg)
         resid = Wavefunction(
             grid, hpsi.amplitudes - entry.energy * psi.amplitudes, psi.mode_offset
@@ -282,9 +272,8 @@ def _ab_spec(conf: dict, cfg: PhysicsConfig) -> LoopSpec:
 def _run_experiment(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
     e = conf["experiment"]
     if e["kind"] == "fig1":
-        pair = run_fig1_comparison(cfg, grid, e["phi_B"], min_fidelity=e["min_fidelity"],
+        return run_fig1_comparison(cfg, grid, e["phi_B"], min_fidelity=e["min_fidelity"],
                                    **_schedule(conf))
-        return [pair.blue, pair.green]
     if e["kind"] == "ab_loop":
         spec = _ab_spec(conf, cfg)
     else:
@@ -380,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", help="run one transport experiment")
     sub.add_parser("sweep", help="Berry phase vs threading flux")
     sub.add_parser("adiabatic-study", help="convergence with drive duration")
-    sub.add_parser("verify", help="self-checks on quick inputs")
+    sub.add_parser("verify", help="self-checks, on quick inputs where a check has them")
     return parser
 
 

@@ -297,9 +297,8 @@ class Wavefunction:
         profiles = np.fft.fft(self.amplitudes, axis=0) * (np.sqrt(self.grid.l) / self.grid.Nx)
         return ModeStack(self.grid, profiles, self.mode_offset)
 
-    def with_amplitudes(self, amplitudes: np.ndarray, mode_offset=None) -> "Wavefunction":
-        theta = self.mode_offset if mode_offset is None else mode_offset
-        return Wavefunction(self.grid, amplitudes, theta)
+    def with_amplitudes(self, amplitudes: np.ndarray) -> "Wavefunction":
+        return Wavefunction(self.grid, amplitudes, self.mode_offset)
 
     # -- norms and overlaps -------------------------------------------
 

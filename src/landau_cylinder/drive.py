@@ -116,7 +116,6 @@ class DriveProtocol:
     cfg: PhysicsConfig
     T: float
     dt: Optional[float] = None
-    ramp_fraction: float = 0.1
     path: Optional[PathPolyline] = None
     segments: tuple[SegmentSchedule, ...] = ()
 
@@ -125,8 +124,6 @@ class DriveProtocol:
             raise ConfigError(f"protocol duration must be positive (got {self.T})")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError(f"dt must be positive (got {self.dt})")
-        if not 0.0 <= self.ramp_fraction <= 0.5:
-            raise ConfigError(f"ramp_fraction must be in [0, 0.5] (got {self.ramp_fraction})")
 
     # -- constructors ---------------------------------------------------
 
@@ -140,6 +137,8 @@ class DriveProtocol:
         ramp_fraction: float = 0.1,
     ) -> "DriveProtocol":
         """Traverse `path` in total time T, slots proportional to length."""
+        if not 0.0 <= ramp_fraction <= 0.5:
+            raise ConfigError(f"ramp_fraction must be in [0, 0.5] (got {ramp_fraction})")
         total = path.total_length
         if total == 0.0:
             raise ConfigError("path has zero length")
@@ -156,10 +155,7 @@ class DriveProtocol:
                 )
             )
             t0 += duration
-        return cls(
-            cfg=cfg, T=T, dt=dt, ramp_fraction=ramp_fraction,
-            path=path, segments=tuple(segments),
-        )
+        return cls(cfg=cfg, T=T, dt=dt, path=path, segments=tuple(segments))
 
     # -- kinematics -------------------------------------------------------
 

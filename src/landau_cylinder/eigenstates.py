@@ -98,15 +98,6 @@ def _check_support(grid: CylinderGrid, center: float, n: int, l_B: float) -> Non
         )
 
 
-def _single_mode_state(
-    grid: CylinderGrid, j: int, profile: np.ndarray
-) -> Wavefunction:
-    profiles = np.zeros((grid.Nx, grid.Ny), dtype=complex)
-    profiles[grid.mode_row(j)] = profile
-    psi = Wavefunction.from_modes(ModeStack(grid, profiles))
-    return psi.normalized()
-
-
 def landau_eigenstate(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
@@ -114,12 +105,7 @@ def landau_eigenstate(
     j: int,
 ) -> Wavefunction:
     """Eigenstate e^{i kappa_j x} phi_n(y - y_c(j)) / sqrt(l) at flux cfg.phi0, grid normalized."""
-    if n < 0:
-        raise ConfigError(f"level index must be non-negative (got {n})")
-    center = mode_center(cfg, j)
-    _check_support(grid, center, n, cfg.magnetic_length)
-    profile = hermite_profile(cfg, grid.y, center, n).astype(complex)
-    return _single_mode_state(grid, j, profile)
+    return displaced_gaussian(cfg, grid, j, mode_center(cfg, j), n=n)
 
 
 def displaced_gaussian(
@@ -132,10 +118,11 @@ def displaced_gaussian(
 ) -> Wavefunction:
     """Displaced level-n eigenstate (a coherent state for n = 0) in mode j."""
     _check_support(grid, center, n, cfg.magnetic_length)
-    profile = hermite_profile(cfg, grid.y, center, n) * np.exp(
+    profiles = np.zeros((grid.Nx, grid.Ny), dtype=complex)
+    profiles[grid.mode_row(j)] = hermite_profile(cfg, grid.y, center, n) * np.exp(
         1j * momentum * (grid.y - center) / cfg.hbar
     )
-    return _single_mode_state(grid, j, profile)
+    return Wavefunction.from_modes(ModeStack(grid, profiles)).normalized()
 
 
 @dataclass(frozen=True)
@@ -147,9 +134,6 @@ class LandauLevelState:
     kappa: float
     y_center: float
     energy: float
-
-    def build(self, cfg: PhysicsConfig, grid: CylinderGrid) -> Wavefunction:
-        return landau_eigenstate(cfg, grid, self.n, self.j)
 
 
 def eigen_table(

@@ -50,7 +50,6 @@ __all__ = [
     "fig1_loop_spec",
     "ExperimentResult",
     "run_loop",
-    "Fig1Comparison",
     "run_fig1_comparison",
     "SweepResult",
     "flux_sweep",
@@ -68,8 +67,8 @@ def berry_phase(
     T: float,
     cfg: PhysicsConfig,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
-) -> float:
-    """arg<psi0|psi(T)> + E T / hbar, wrapped to (-pi, pi].
+) -> tuple[float, float]:
+    """(arg<psi0|psi(T)> + E T / hbar wrapped to (-pi, pi], return fidelity).
 
     Demands approximate cyclicity: if the return fidelity falls below
     min_fidelity the phase is not a meaningful holonomy and a
@@ -83,7 +82,7 @@ def berry_phase(
             f"return fidelity {fidelity:.6f} below gate {min_fidelity}; "
             "the evolution is not cyclic enough for a phase readout"
         )
-    return wrap_angle(np.angle(overlap) + energy * T / cfg.hbar)
+    return wrap_angle(np.angle(overlap) + energy * T / cfg.hbar), fidelity
 
 
 @dataclass(frozen=True)
@@ -227,12 +226,11 @@ def _run_spec(
     protocol = spec.protocol(cfg)
     psi0 = landau_eigenstate(cfg, grid, spec.n, spec.j)
     record = evolve_tdse(psi0, protocol)
-    psi_T = record.final_state
 
-    overlap = inner_product(psi0, psi_T)
-    fidelity = abs(overlap) / (psi0.norm() * psi_T.norm())
     energy = landau_energy(cfg, spec.n)
-    gamma_raw = berry_phase(psi0, psi_T, energy, spec.T, cfg, min_fidelity=min_fidelity)
+    gamma_raw, fidelity = berry_phase(
+        psi0, record.final_state, energy, spec.T, cfg, min_fidelity=min_fidelity
+    )
     drift_action = protocol.drift_action()
     gamma = wrap_angle(gamma_raw - drift_action)
 
@@ -252,7 +250,7 @@ def _run_spec(
         gamma_raw=gamma_raw,
         dynamical_phase=energy * spec.T / cfg.hbar,
         drift_action=drift_action,
-        fidelity=float(fidelity),
+        fidelity=fidelity,
         enclosed_flux_total=winding * cfg.phi0 + phi_b,
         norm_drift=record.norm_drift,
     )
@@ -269,20 +267,6 @@ def run_loop(
     return _run_spec(cfg, grid, spec, min_fidelity)[0]
 
 
-@dataclass(frozen=True)
-class Fig1Comparison:
-    """Two loops, same threading flux, opposite contractible excursions.
-
-    At phi = phi_B the blue loop (total enclosed flux phi + phi_B) returns
-    zero geometric phase, while the green loop (total enclosed flux zero)
-    returns 2 q phi / hbar c: the phase follows the winding flux minus the
-    surface flux, not the total.
-    """
-
-    blue: ExperimentResult
-    green: ExperimentResult
-
-
 def run_fig1_comparison(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
@@ -292,12 +276,18 @@ def run_fig1_comparison(
     j: int = 0,
     ramp_fraction: float = 0.1,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
-) -> Fig1Comparison:
-    blue, green = (
+) -> tuple[ExperimentResult, ExperimentResult]:
+    """(blue, green): two loops, same threading flux, opposite contractible excursions.
+
+    At phi = phi_B the blue loop (total enclosed flux phi + phi_B) returns
+    zero geometric phase, while the green loop (total enclosed flux zero)
+    returns 2 q phi / hbar c: the phase follows the winding flux minus the
+    surface flux, not the total.
+    """
+    return tuple(
         run_loop(cfg, grid, fig1_loop_spec(cfg, v, phi_B, T, n, j, ramp_fraction), min_fidelity)
         for v in ("blue", "green")
     )
-    return Fig1Comparison(blue=blue, green=green)
 
 
 @dataclass(frozen=True)

@@ -203,16 +203,14 @@ def apply_displacement(
 class TranslationResult:
     """Net translation of a path plus the separated geometric phase factor.
 
-    state:             M(net_displacement) applied to the input
-    accumulated_phase: -(q / hbar c) B S, S the oriented swept area; the
-                       ordered product of segment translations equals
+    state:             M(path.net_displacement) applied to the input
+    accumulated_phase: -(q / hbar c) B S, S the path's oriented swept area;
+                       the ordered product of segment translations equals
                        exp(i accumulated_phase) applied to `state`
     """
 
     state: Wavefunction
     accumulated_phase: float
-    net_displacement: Displacement
-    swept_area: float
 
 
 def path_ordered_translation(
@@ -225,13 +223,9 @@ def path_ordered_translation(
     telescoping is verified operationally by sequential_translation, which
     this function must agree with to near machine precision.
     """
-    area = path.swept_area()
-    net = path.net_displacement
-    state = apply_displacement(psi, net, cfg, check_truncation=check_truncation)
-    phase = -cfg.q * cfg.B * area / (cfg.hbar * cfg.c)
-    return TranslationResult(
-        state=state, accumulated_phase=phase, net_displacement=net, swept_area=area
-    )
+    state = apply_displacement(psi, path.net_displacement, cfg, check_truncation=check_truncation)
+    phase = -cfg.q * cfg.B * path.swept_area() / (cfg.hbar * cfg.c)
+    return TranslationResult(state=state, accumulated_phase=phase)
 
 
 def sequential_translation(

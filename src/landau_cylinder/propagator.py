@@ -115,13 +115,9 @@ def apply_hamiltonian(
     )
 
 
-def expectation_energy(
-    psi: Wavefunction,
-    cfg: PhysicsConfig,
-    protocol: Optional[DriveProtocol] = None,
-    t: float = 0.0,
-) -> float:
-    h_psi = apply_hamiltonian(psi, cfg, protocol, t)
+def expectation_energy(psi: Wavefunction, cfg: PhysicsConfig) -> float:
+    """<H> of the static Hamiltonian."""
+    h_psi = apply_hamiltonian(psi, cfg)
     return float(np.real(inner_product(psi, h_psi)) / psi.norm_sq())
 
 
@@ -345,7 +341,7 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     cfg = protocol.cfg
     grid = psi0.grid
     stack = psi0.to_modes()
-    occ = stack.occupied_rows(1e-12)
+    occ = stack.occupied_rows(OCCUPATION_THRESHOLD)
     if occ.size != 1:
         raise ValueError(
             f"oracle input must occupy exactly one mode (found {occ.size} occupied)"

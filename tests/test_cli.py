@@ -81,56 +81,71 @@ def test_type_and_range_diagnostics():
 _PHYS, _GRID = DEFAULT_CONFIG["physics"], DEFAULT_CONFIG["grid"]
 _KINDS = "('ab_loop', 'general_loop', 'fig1')"
 
-# one bad value per checked key, with the full message it must raise
+# one bad value per checked key, with the full message it must raise; each
+# row names its own test id, so adding or removing a row renames no other
 CONFIG_MESSAGES = [
-    ([], "config root: expected an object, got list"),
-    ({"physic": {}}, "physic: unknown section"),
-    ({"experiment": []}, "experiment: expected an object, got list"),
-    ({"experiment": {"zeta": 1.0}}, "experiment.zeta: unknown key"),
-    ({"physics": {"hbar": 1.0}}, "physics.q: required key missing"),
-    ({"grid": {"Nx": 64, "Ny": 512, "y_min": -12.0}}, "grid.y_max: required key missing"),
-    ({"physics": {**_PHYS, "hbar": "1"}}, "physics.hbar: expected a number, got str"),
-    ({"physics": {**_PHYS, "q": float("inf")}}, "physics.q: must be finite"),
-    ({"physics": {**_PHYS, "m": True}}, "physics.m: expected a number, got bool"),
-    ({"physics": {**_PHYS, "c": None}}, "physics.c: required key missing or null"),
-    ({"physics": {**_PHYS, "B": [1.0]}}, "physics.B: expected a number, got list"),
-    ({"physics": {**_PHYS, "phi0": float("nan")}}, "physics.phi0: must be finite"),
-    ({"physics": {**_PHYS, "l": {}}}, "physics.l: expected a number, got dict"),
-    ({"grid": {**_GRID, "Nx": 64.5}}, "grid.Nx: expected an integer, got 64.5"),
-    ({"grid": {**_GRID, "Ny": "512"}}, "grid.Ny: expected a number, got str"),
-    ({"grid": {**_GRID, "y_min": None}}, "grid.y_min: required key missing or null"),
-    ({"grid": {**_GRID, "y_max": float("-inf")}}, "grid.y_max: must be finite"),
-    ({"grid": {**_GRID, "y_min": 12.0}}, "grid.y_min: must be strictly below grid.y_max"),
-    ({"experiment": {"kind": "mystery"}}, f"experiment.kind: must be one of {_KINDS}"),
-    ({"experiment": {"kind": None}}, f"experiment.kind: must be one of {_KINDS}"),
-    ({"experiment": {"T": None}}, "experiment.T: required key missing or null"),
-    ({"experiment": {"T": 0.0}}, "experiment.T: must be positive"),
-    ({"experiment": {"dt": 0.1}}, "experiment.dt: unknown key"),
-    ({"experiment": {"n": -1}}, "experiment.n: must be non-negative"),
-    ({"experiment": {"j": 0.5}}, "experiment.j: expected an integer, got 0.5"),
-    ({"experiment": {"ramp_fraction": 0.6}}, "experiment.ramp_fraction: must lie in [0, 0.5]"),
-    ({"experiment": {"min_fidelity": 1.5}}, "experiment.min_fidelity: must lie in [0, 1]"),
-    ({"experiment": {"winding": 0}}, "experiment.winding: must be a nonzero integer"),
-    ({"experiment": {"height": [0.5]}}, "experiment.height: expected a number, got list"),
-    ({"experiment": {"phi_B": -0.1}}, "experiment.phi_B: must be non-negative"),
-    ({"sweep": {"phi_min": "0"}}, "sweep.phi_min: expected a number, got str"),
-    ({"sweep": {"phi_max": None}}, "sweep.phi_max: required key missing or null"),
-    ({"sweep": {"num": 2.5}}, "sweep.num: expected an integer, got 2.5"),
-    ({"sweep": {"num": 1}}, "sweep.num: need at least two flux points"),
-    ({"sweep": {"phi_min": 1.0, "phi_max": 1.0}},
+    ("config root", [], "config root: expected an object, got list"),
+    ("physic", {"physic": {}}, "physic: unknown section"),
+    ("experiment", {"experiment": []}, "experiment: expected an object, got list"),
+    ("experiment.zeta", {"experiment": {"zeta": 1.0}}, "experiment.zeta: unknown key"),
+    ("physics.q0", {"physics": {"hbar": 1.0}}, "physics.q: required key missing"),
+    ("grid.y_max0", {"grid": {"Nx": 64, "Ny": 512, "y_min": -12.0}},
+     "grid.y_max: required key missing"),
+    ("physics.hbar", {"physics": {**_PHYS, "hbar": "1"}},
+     "physics.hbar: expected a number, got str"),
+    ("physics.q1", {"physics": {**_PHYS, "q": float("inf")}}, "physics.q: must be finite"),
+    ("physics.m", {"physics": {**_PHYS, "m": True}}, "physics.m: expected a number, got bool"),
+    ("physics.c", {"physics": {**_PHYS, "c": None}}, "physics.c: required key missing or null"),
+    ("physics.B", {"physics": {**_PHYS, "B": [1.0]}}, "physics.B: expected a number, got list"),
+    ("physics.phi0", {"physics": {**_PHYS, "phi0": float("nan")}}, "physics.phi0: must be finite"),
+    ("physics.l", {"physics": {**_PHYS, "l": {}}}, "physics.l: expected a number, got dict"),
+    ("grid.Nx", {"grid": {**_GRID, "Nx": 64.5}}, "grid.Nx: expected an integer, got 64.5"),
+    ("grid.Ny", {"grid": {**_GRID, "Ny": "512"}}, "grid.Ny: expected a number, got str"),
+    ("grid.y_min0", {"grid": {**_GRID, "y_min": None}}, "grid.y_min: required key missing or null"),
+    ("grid.y_max1", {"grid": {**_GRID, "y_max": float("-inf")}}, "grid.y_max: must be finite"),
+    ("grid.y_min1", {"grid": {**_GRID, "y_min": 12.0}},
+     "grid.y_min: must be strictly below grid.y_max"),
+    ("experiment.kind0", {"experiment": {"kind": "mystery"}},
+     f"experiment.kind: must be one of {_KINDS}"),
+    ("experiment.kind1", {"experiment": {"kind": None}},
+     f"experiment.kind: must be one of {_KINDS}"),
+    ("experiment.T0", {"experiment": {"T": None}}, "experiment.T: required key missing or null"),
+    ("experiment.T1", {"experiment": {"T": 0.0}}, "experiment.T: must be positive"),
+    ("experiment.dt", {"experiment": {"dt": 0.1}}, "experiment.dt: unknown key"),
+    ("experiment.n", {"experiment": {"n": -1}}, "experiment.n: must be non-negative"),
+    ("experiment.j", {"experiment": {"j": 0.5}}, "experiment.j: expected an integer, got 0.5"),
+    ("experiment.ramp_fraction", {"experiment": {"ramp_fraction": 0.6}},
+     "experiment.ramp_fraction: must lie in [0, 0.5]"),
+    ("experiment.min_fidelity", {"experiment": {"min_fidelity": 1.5}},
+     "experiment.min_fidelity: must lie in [0, 1]"),
+    ("experiment.winding", {"experiment": {"winding": 0}},
+     "experiment.winding: must be a nonzero integer"),
+    ("experiment.height", {"experiment": {"height": [0.5]}},
+     "experiment.height: expected a number, got list"),
+    ("experiment.phi_B", {"experiment": {"phi_B": -0.1}}, "experiment.phi_B: must be non-negative"),
+    ("sweep.phi_min0", {"sweep": {"phi_min": "0"}}, "sweep.phi_min: expected a number, got str"),
+    ("sweep.phi_max", {"sweep": {"phi_max": None}}, "sweep.phi_max: required key missing or null"),
+    ("sweep.num0", {"sweep": {"num": 2.5}}, "sweep.num: expected an integer, got 2.5"),
+    ("sweep.num1", {"sweep": {"num": 1}}, "sweep.num: need at least two flux points"),
+    ("sweep.phi_min1", {"sweep": {"phi_min": 1.0, "phi_max": 1.0}},
      "sweep.phi_min: must be strictly below sweep.phi_max"),
-    ({"study": {"T_values": []}}, "study.T_values: expected a non-empty list of durations"),
-    ({"study": {"T_values": 100.0}}, "study.T_values: expected a non-empty list of durations"),
-    ({"study": {"T_values": None}}, "study.T_values: expected a non-empty list of durations"),
-    ({"study": {"T_values": [10.0, "a"]}}, "study.T_values[1]: expected a number, got str"),
-    ({"study": {"T_values": [10.0, 0.0]}}, "study.T_values[1]: must be positive"),
-    ({"eigen": {"n_max": -1}}, "eigen.n_max: must be non-negative"),
-    ({"eigen": {"j_max": 1.5}}, "eigen.j_max: expected an integer, got 1.5"),
+    ("study.T_values0", {"study": {"T_values": []}},
+     "study.T_values: expected a non-empty list of durations"),
+    ("study.T_values1", {"study": {"T_values": 100.0}},
+     "study.T_values: expected a non-empty list of durations"),
+    ("study.T_values2", {"study": {"T_values": None}},
+     "study.T_values: expected a non-empty list of durations"),
+    ("study.T_values[1]0", {"study": {"T_values": [10.0, "a"]}},
+     "study.T_values[1]: expected a number, got str"),
+    ("study.T_values[1]1", {"study": {"T_values": [10.0, 0.0]}},
+     "study.T_values[1]: must be positive"),
+    ("eigen.n_max", {"eigen": {"n_max": -1}}, "eigen.n_max: must be non-negative"),
+    ("eigen.j_max", {"eigen": {"j_max": 1.5}}, "eigen.j_max: expected an integer, got 1.5"),
 ]
 
 
-@pytest.mark.parametrize("raw, message", CONFIG_MESSAGES,
-                         ids=[message.split(":")[0] for _, message in CONFIG_MESSAGES])
+@pytest.mark.parametrize("raw, message", [row[1:] for row in CONFIG_MESSAGES],
+                         ids=[row[0] for row in CONFIG_MESSAGES])
 def test_config_error_messages(raw, message):
     with pytest.raises(ConfigError) as info:
         resolve_config(raw)
@@ -291,6 +306,6 @@ def test_verify_runs_every_quick_row(tmp_path, capsys):
     assert main(["--out", str(a), "verify"]) == 0
     assert main(["--out", str(b), "--seed", "0", "verify"]) == 0
     checks = json.loads((a / "verify.json").read_text())["checks"]
-    assert [c["name"] for c in checks] == [c.name for c in CHECKS if c.quick is not None]
+    assert [c["name"] for c in checks] == [c.name for c in CHECKS]
     assert all(c["passed"] for c in checks)
     assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()

@@ -30,7 +30,9 @@ def test_berry_phase_recovers_injected_phase(cfg, grid):
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     gamma, E, T = 0.7, landau_energy(cfg, 0), 3.0
     psi_T = psi0 * np.exp(1j * (gamma - E * T / cfg.hbar))
-    assert berry_phase(psi0, psi_T, E, T, cfg) == pytest.approx(gamma, abs=1e-13)
+    phase, fidelity = berry_phase(psi0, psi_T, E, T, cfg)
+    assert phase == pytest.approx(gamma, abs=1e-13)
+    assert fidelity == pytest.approx(1.0, abs=1e-13)
 
 
 def test_berry_phase_gate(cfg, grid):
@@ -38,8 +40,8 @@ def test_berry_phase_gate(cfg, grid):
     other = landau_eigenstate(cfg, grid, 0, 1)  # near-orthogonal return state
     with pytest.raises(NonCyclicEvolutionError):
         berry_phase(psi0, other, 0.5, 1.0, cfg)
-    # bypassed gate must not raise
-    berry_phase(psi0, other, 0.5, 1.0, cfg, min_fidelity=0.0)
+    # bypassed gate must not raise, and reports the fidelity it let through
+    assert berry_phase(psi0, other, 0.5, 1.0, cfg, min_fidelity=0.0)[1] < 0.99
 
 
 # --- loop geometry builders ----------------------------------------------

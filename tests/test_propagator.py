@@ -322,9 +322,13 @@ def test_hold_returns_every_row(cfg, grid):
 def test_oracle_rejects_multimode(cfg, grid):
     a = landau_eigenstate(cfg, grid, 0, 0)
     b = landau_eigenstate(cfg, grid, 0, 1)
-    psi = Wavefunction(grid, (a.amplitudes + b.amplitudes) / np.sqrt(2), 0.0)
-    with pytest.raises(ValueError):
-        evolve_oracle(psi, DriveProtocol(cfg=cfg, T=1.0))
+    # equal rows, and a second row with 3.16e-13 of the weight, which
+    # evolve_tdse propagates too (it is above OCCUPATION_THRESHOLD)
+    for weight in (1.0, 10**-6.25):
+        psi = Wavefunction(grid, a.amplitudes + weight * b.amplitudes, 0.0)
+        assert psi.to_modes().occupied_rows(OCCUPATION_THRESHOLD).size == 2
+        with pytest.raises(ValueError, match="found 2 occupied"):
+            evolve_oracle(psi, DriveProtocol(cfg=cfg, T=1.0))
 
 
 def test_oracle_rejects_non_eigen_profile(cfg, grid):
