@@ -336,9 +336,9 @@ def cmd_study(conf: dict, out: Path, args) -> int:
 
 def cmd_verify(conf: dict, out: Path, args) -> int:
     results = run_all_checks(seed=args.seed)
-    width = max(len(name) for name, _, _ in results)
+    # a fixed width, that of the longest name, so a new row re-pads no old line
     for name, ok, detail in results:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
+        print(f"{name:<30}  {'PASS' if ok else 'FAIL'}  {detail}")
     write_json(out / "verify.json", {
         "seed": args.seed,
         "checks": [

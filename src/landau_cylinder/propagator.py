@@ -35,8 +35,10 @@ action, for any drive strength.  Substituting the ansatz into the TDSE
 fixes every term; no adiabatic assumption is involved.  Its classical ODE
 restarts at every DriveProtocol.breakpoints() time, where the sin^2 ramps
 make the force's second derivative jump, so each solve_ivp call sees a
-smooth force; on the 20 criterion-7 drives its phase then agrees with a
-rerun at rtol 3e-14 to 1e-13.
+smooth force; its right-hand side samples the drive in float arithmetic
+(DriveProtocol._flux_and_ey) and takes no force integral from evolve_tdse.
+On criterion 7's 20 random drives its phase agrees with a rerun at
+rtol 3e-14 to 1e-13, and on its T = 500 rectangle loop to 2.1e-14.
 
 factorized_evolution checks the adiabatic factorization U = g M(C) D U_eps
 by building g M(C) D explicitly and comparing with the TDSE result; the
@@ -336,7 +338,10 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     between the protocol's breakpoints, each started from the end of the
     one before: inside an interval the force is smooth, so the integrator
     keeps its order (phase error ~1e-13 against a rerun at rtol 3e-14 on
-    the criterion-7 drives, where one call over [0, T] gave 1.4e-10).
+    the criterion-7 drives, T = 500 rectangle loop included, where one call
+    over [0, T] gave 1.4e-10).  The right-hand side reads flux and E_y from
+    DriveProtocol._flux_and_ey, the drive's float sampler, which costs a
+    fraction of the array calls flux(t) and efield(t).
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -386,7 +391,7 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     def rhs(t, z):
         # the well m omega^2 (y - b)^2 / 2 + C is the linear drive f y plus c
         yc, pc, _ = z
-        b, c = mode_well(cfg, j, float(protocol.flux(t)), float(protocol.efield(t)[1]), theta)
+        b, c = mode_well(cfg, j, *protocol._flux_and_ey(float(t)), theta)
         f = stiffness * b
         lagr = pc * pc / (2.0 * cfg.m) - 0.5 * stiffness * yc * yc + f * yc
         return [pc / cfg.m, -stiffness * yc + f, lagr - (c + 0.5 * f * b)]

@@ -23,6 +23,7 @@ from .eigenstates import displaced_gaussian, landau_eigenstate, landau_energy, m
 from .experiments import (
     ab_loop_spec,
     adiabatic_study,
+    fig1_loop_spec,
     flux_sweep,
     rectangle_loop_spec,
     run_fig1_comparison,
@@ -398,6 +399,16 @@ class Check:
 
 
 _ORACLE_DRIVE = (0, 0, 0.4, 0.0, ((0.0, 0.0), (0.8, 0.6), (0.0, 0.0)), 6.0)
+# the loops of criteria 4 and 5 at T = 500, from the (0, 0) eigenstate: long
+# enough that evolve_tdse takes the loop experiments' longest step,
+# omega h = MAX_BLOCK_ANGLE, where a short drive's steps stay below T / 256
+_LOOP_DRIVES = tuple(
+    (0, 0, 0.0, 0.0, spec.path.vertices, spec.T)
+    for spec in (
+        rectangle_loop_spec(PhysicsConfig.reference(), 0.5, T=500.0),
+        fig1_loop_spec(PhysicsConfig.reference(), "blue", np.pi / 2, T=500.0),
+    )
+)
 
 CHECKS = (
     Check(
@@ -435,7 +446,7 @@ CHECKS = (
     ),
     Check(
         "oracle_equivalence", check_oracle_equivalence,
-        full=dict(random_drives=20),
+        full=dict(drives=_LOOP_DRIVES, random_drives=20),
         quick=dict(drives=(_ORACLE_DRIVE,)),
         seed=20260819, criterion=(7, "oracle equivalence"),
     ),

@@ -26,15 +26,19 @@ def write_config(tmp_path, payload):
 
 
 def test_cold_start_needs_no_scipy_integrate():
-    # only the oracle and drift_displacement use scipy.integrate; they import it on call
+    # only the oracle and drift_displacement use scipy (its integrate
+    # module); they import it on call, so the CLI starts on numpy alone
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    code = "import sys, landau_cylinder.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, landau_cylinder.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # --- config resolution -------------------------------------------------

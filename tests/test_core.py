@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,14 @@ from landau_cylinder import (
     GridMismatchError,
     ModeOffsetMismatchError,
     PhysicsConfig,
+    TruncationError,
     Wavefunction,
+    displaced_gaussian,
     inner_product,
     landau_eigenstate,
     wrap_angle,
 )
-from landau_cylinder.core import edge_fraction
+from landau_cylinder.core import TRUNCATION_THRESHOLD, edge_fraction
 
 
 # --- wrap_angle -------------------------------------------------------
@@ -192,6 +196,28 @@ def test_boundary_mass_small_for_centered_state(cfg, grid):
     density[0, 0] = density[1, -1] = 1.0
     density[:, grid.Ny // 2] = 4.0
     assert edge_fraction(density) == 0.2
+
+
+def test_truncation_sees_four_edge_cells(cfg, grid):
+    # an n = 0 state near the top edge, whose mass in the last k cells (each
+    # centred on its grid point) is the Gaussian tail erfc((y - c) / l_B) / 2
+    # between y_max - (k + 1/2) dy and y_max - dy / 2
+    def tail_mass(center, cells):
+        def above(y):
+            return 0.5 * math.erfc((y - center) / cfg.magnetic_length)
+
+        top = grid.y_max - 0.5 * grid.dy
+        return above(top - cells * grid.dy) - above(top)
+
+    # at 7.5 the four cells hold 5.3e-10, but the outermost only 6.5e-11
+    psi = displaced_gaussian(cfg, grid, 0, 7.5)
+    assert tail_mass(7.5, 1) < TRUNCATION_THRESHOLD < tail_mass(7.5, 4)
+    assert psi.boundary_mass() == pytest.approx(tail_mass(7.5, 4), rel=0.02)
+    with pytest.raises(TruncationError):
+        psi.check_truncation()
+    # at 7.0 the four cells hold 5.3e-12
+    assert tail_mass(7.0, 4) < TRUNCATION_THRESHOLD
+    displaced_gaussian(cfg, grid, 0, 7.0).check_truncation()
 
 
 def test_expectation_y(cfg, grid):

@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from landau_cylinder import ConfigError, DriveProtocol, PathPolyline, drift_displacement
 
@@ -262,3 +267,32 @@ def test_segment_local_sampling_is_bitwise(cfg, ramp_fraction, n_segments):
                 b = np.asarray(b)
                 assert b.dtype == a.dtype and b.shape == a.shape, (name, t)
                 assert a.tobytes() == b.tobytes(), (name, t)
+
+
+_steps = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@given(
+    steps=st.lists(_steps, min_size=1, max_size=5),
+    ramp_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+    T=st.floats(0.1, 1000.0),
+    phi0=st.floats(-5.0, 5.0),
+    fractions=st.lists(st.floats(-0.1, 1.2), max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_float_sampler_matches_array_formulas(cfg, steps, ramp_fraction, T, phi0, fractions):
+    # evolve_oracle samples the drive through _flux_and_ey; it must give
+    # flux and E_y as the array formulas do, to 2 ulp of max(1, |value|)
+    pts = [(0.0, 0.0)]
+    for dx, dy in steps:
+        pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+    # a segment too short for its slot to be resolved in T has no drive
+    assume(all(math.dist(a, b) > 1e-3 for a, b in zip(pts, pts[1:])))
+    proto = DriveProtocol.from_path(
+        replace(cfg, phi0=phi0), PathPolyline(tuple(pts)), T=T, ramp_fraction=ramp_fraction
+    )
+    times = [f * T for f in fractions] + proto.breakpoints().tolist() + [0.0, T, 1.5 * T]
+    for t in times:
+        flux, ey = proto._flux_and_ey(t)
+        for got, want in ((flux, float(proto.flux(t))), (ey, float(proto.efield(t)[1]))):
+            assert abs(got - want) <= 2 * math.ulp(max(1.0, abs(want))), (t, got, want)
