@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .core import (
     Wavefunction,
     wrap_angle,
 )
-from .eigenstates import eigen_table, landau_eigenstate
+from .eigenstates import landau_eigenstate, landau_energy, mode_center
 from .experiments import (
     ExperimentResult,
     LoopSpec,
@@ -208,10 +209,6 @@ def _config_line(conf: dict) -> str:
 
 
 def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -243,15 +240,17 @@ def _result_report(tag: str, res: ExperimentResult) -> str:
 def cmd_eigen(conf: dict, out: Path, args) -> int:
     cfg = build_physics(conf)
     grid = build_grid(conf, cfg)
-    table = eigen_table(cfg, grid, conf["eigen"]["n_max"], conf["eigen"]["j_max"])
+    j_max = conf["eigen"]["j_max"]
     rows = []
-    for entry in table:
-        psi = landau_eigenstate(cfg, grid, entry.n, entry.j)
-        hpsi = apply_hamiltonian(psi, cfg)
-        resid = Wavefunction(
-            grid, hpsi.amplitudes - entry.energy * psi.amplitudes, psi.mode_offset
-        ).norm()
-        rows.append((entry.n, entry.j, entry.kappa, entry.y_center, entry.energy, resid))
+    for n in range(conf["eigen"]["n_max"] + 1):
+        energy = landau_energy(cfg, n)
+        for j in range(-j_max, j_max + 1):
+            psi = landau_eigenstate(cfg, grid, n, j)
+            hpsi = apply_hamiltonian(psi, cfg)
+            resid = Wavefunction(
+                grid, hpsi.amplitudes - energy * psi.amplitudes, psi.mode_offset
+            ).norm()
+            rows.append((n, j, 2.0 * np.pi * j / cfg.l, mode_center(cfg, j), energy, resid))
     write_csv(out / "eigen.csv", ("n", "j", "kappa", "y_center", "energy", "residual"), rows, conf)
     print(f"wrote {out / 'eigen.csv'} ({len(rows)} states)")
     worst = max(r[-1] for r in rows)
@@ -260,24 +259,25 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
 
 
 def _schedule(conf: dict) -> dict:
-    """The LoopSpec fields shared by every experiment kind."""
+    """The LoopSpec fields, beyond geometry and T, shared by every experiment kind."""
     e = conf["experiment"]
-    return dict(T=e["T"], n=e["n"], j=e["j"], ramp_fraction=e["ramp_fraction"])
+    return dict(n=e["n"], j=e["j"], ramp_fraction=e["ramp_fraction"])
 
 
 def _ab_spec(conf: dict, cfg: PhysicsConfig) -> LoopSpec:
-    return ab_loop_spec(cfg, winding=conf["experiment"]["winding"], **_schedule(conf))
+    e = conf["experiment"]
+    return replace(ab_loop_spec(cfg, e["T"], winding=e["winding"]), **_schedule(conf))
 
 
 def _run_experiment(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
     e = conf["experiment"]
     if e["kind"] == "fig1":
-        return run_fig1_comparison(cfg, grid, e["phi_B"], min_fidelity=e["min_fidelity"],
+        return run_fig1_comparison(cfg, grid, e["phi_B"], e["T"], min_fidelity=e["min_fidelity"],
                                    **_schedule(conf))
     if e["kind"] == "ab_loop":
         spec = _ab_spec(conf, cfg)
     else:
-        spec = rectangle_loop_spec(cfg, e["height"], **_schedule(conf))
+        spec = replace(rectangle_loop_spec(cfg, e["height"], e["T"]), **_schedule(conf))
     return [run_loop(cfg, grid, spec, e["min_fidelity"])]
 
 

@@ -73,12 +73,10 @@ class NonCyclicEvolutionError(RuntimeError):
     """Return fidelity too low for a meaningful cyclic-phase readout."""
 
 
-def wrap_angle(angle):
-    """Wrap an angle (or array of angles) to the interval (-pi, pi]."""
-    wrapped = np.remainder(angle, 2.0 * np.pi)
-    if np.isscalar(wrapped) or wrapped.ndim == 0:
-        return float(wrapped - 2.0 * np.pi) if wrapped > np.pi else float(wrapped)
-    return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+def wrap_angle(angle: float) -> float:
+    """Wrap an angle to the interval (-pi, pi]."""
+    wrapped = float(np.remainder(angle, 2.0 * np.pi))
+    return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
 
 
 def edge_fraction(density: np.ndarray) -> float:
@@ -218,7 +216,7 @@ class CylinderGrid:
         """Integer mode indices j in FFT ordering (0, 1, ..., -1)."""
         return np.rint(np.fft.fftfreq(self.Nx) * self.Nx).astype(int)
 
-    def kappas(self, mode_offset: float = 0.0) -> np.ndarray:
+    def kappas(self, mode_offset: float) -> np.ndarray:
         """x wavevectors kappa_j = 2 pi (j + theta) / l, FFT ordering."""
         return 2.0 * np.pi * (self.mode_numbers + mode_offset) / self.l
 
@@ -252,10 +250,6 @@ class ModeStack:
     grid: CylinderGrid
     profiles: np.ndarray
     mode_offset: float = 0.0
-
-    @property
-    def kappas(self) -> np.ndarray:
-        return self.grid.kappas(self.mode_offset)
 
     def mode_norms_sq(self) -> np.ndarray:
         """Per-mode probability content, integral |chi_j|^2 dy."""

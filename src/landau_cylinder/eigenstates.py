@@ -16,8 +16,6 @@ every center up by one spacing (spectral flow j -> j - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConfigError, CylinderGrid, ModeStack, PhysicsConfig, Wavefunction
@@ -30,8 +28,6 @@ __all__ = [
     "landau_energy",
     "landau_eigenstate",
     "displaced_gaussian",
-    "LandauLevelState",
-    "eigen_table",
 ]
 
 
@@ -72,7 +68,7 @@ def mode_center(cfg: PhysicsConfig, j: int, phi=None, mode_offset: float = 0.0) 
     return phi / (cfg.l * cfg.B) - cfg.hbar * kappa * cfg.c / (cfg.q * cfg.B)
 
 
-def mode_well(cfg: PhysicsConfig, j, phi, ey, mode_offset: float = 0.0):
+def mode_well(cfg: PhysicsConfig, j, phi, ey, mode_offset: float):
     """Center b and offset C of mode j's well m omega^2 (y - b)^2 / 2 + C.
 
     Completing the square in (hbar kappa_j - q A_x / c)^2 / 2m - q E_y y at
@@ -123,33 +119,3 @@ def displaced_gaussian(
         1j * momentum * (grid.y - center) / cfg.hbar
     )
     return Wavefunction.from_modes(ModeStack(grid, profiles)).normalized()
-
-
-@dataclass(frozen=True)
-class LandauLevelState:
-    """Catalog row for one (n, j) eigenstate."""
-
-    n: int
-    j: int
-    kappa: float
-    y_center: float
-    energy: float
-
-
-def eigen_table(
-    cfg: PhysicsConfig, grid: CylinderGrid, n_max: int, j_max: int
-) -> list[LandauLevelState]:
-    """All (n, j) with n <= n_max and |j| <= j_max, ordered by (n, j)."""
-    rows = []
-    for n in range(n_max + 1):
-        for j in range(-j_max, j_max + 1):
-            rows.append(
-                LandauLevelState(
-                    n=n,
-                    j=j,
-                    kappa=2.0 * np.pi * j / cfg.l,
-                    y_center=mode_center(cfg, j),
-                    energy=landau_energy(cfg, n),
-                )
-            )
-    return rows

@@ -87,7 +87,10 @@ def berry_phase(
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """One cyclic transport experiment: geometry, schedule, initial state."""
+    """One cyclic transport experiment: geometry, schedule, initial state.
+
+    The builders set path and T; n, j and ramp_fraction are set only here.
+    """
 
     kind: str
     path: PathPolyline
@@ -102,31 +105,13 @@ class LoopSpec:
         )
 
 
-def _default_T(cfg: PhysicsConfig, T: Optional[float], periods: float = 200.0) -> float:
-    return periods / cfg.omega if T is None else T
-
-
-def ab_loop_spec(
-    cfg: PhysicsConfig,
-    T: Optional[float] = None,
-    n: int = 0,
-    j: int = 0,
-    ramp_fraction: float = 0.1,
-    winding: int = 1,
-) -> LoopSpec:
+def ab_loop_spec(cfg: PhysicsConfig, T: float, winding: int = 1) -> LoopSpec:
     """Straight loop around the cylinder: encloses the flux, sweeps no area."""
     path = PathPolyline(((0.0, 0.0), (winding * cfg.l, 0.0)))
-    return LoopSpec("ab_loop", path, _default_T(cfg, T), n, j, ramp_fraction)
+    return LoopSpec("ab_loop", path, T)
 
 
-def rectangle_loop_spec(
-    cfg: PhysicsConfig,
-    height: float,
-    T: Optional[float] = None,
-    n: int = 0,
-    j: int = 0,
-    ramp_fraction: float = 0.1,
-) -> LoopSpec:
+def rectangle_loop_spec(cfg: PhysicsConfig, height: float, T: float) -> LoopSpec:
     """Loop around the cylinder displaced axially: up, around, back down.
 
     Sweeps oriented area -l * height (clockwise for positive height), so it
@@ -134,26 +119,10 @@ def rectangle_loop_spec(
     """
     l = cfg.l
     path = PathPolyline(((0.0, 0.0), (0.0, height), (l, height), (l, 0.0)))
-    return LoopSpec("general_loop", path, _default_T(cfg, T, 2000.0), n, j, ramp_fraction)
+    return LoopSpec("general_loop", path, T)
 
 
-def _excursion_vertices(area: float) -> tuple[tuple[float, float], ...]:
-    """Closed square excursion from the origin with oriented area `area`."""
-    side = float(np.sqrt(abs(area)))
-    if area >= 0.0:  # counterclockwise
-        return ((0.0, 0.0), (side, 0.0), (side, side), (0.0, side), (0.0, 0.0))
-    return ((0.0, 0.0), (0.0, side), (side, side), (side, 0.0), (0.0, 0.0))
-
-
-def fig1_loop_spec(
-    cfg: PhysicsConfig,
-    variant: str,
-    phi_B: float,
-    T: Optional[float] = None,
-    n: int = 0,
-    j: int = 0,
-    ramp_fraction: float = 0.1,
-) -> LoopSpec:
+def fig1_loop_spec(cfg: PhysicsConfig, variant: str, phi_B: float, T: float) -> LoopSpec:
     """Winding loop with a contractible square excursion bolted on.
 
     variant "blue": counterclockwise excursion, surface flux +phi_B, phase
@@ -165,10 +134,12 @@ def fig1_loop_spec(
         raise ValueError(f"variant must be 'blue' or 'green' (got {variant!r})")
     if phi_B < 0:
         raise ValueError("phi_B magnitude must be non-negative")
-    area = phi_B / cfg.B if variant == "blue" else -phi_B / cfg.B
-    vertices = _excursion_vertices(area) + ((cfg.l, 0.0),)
-    path = PathPolyline(vertices)
-    return LoopSpec(f"fig1_{variant}", path, _default_T(cfg, T, 2000.0), n, j, ramp_fraction)
+    side = float(np.sqrt(phi_B / cfg.B))  # a closed square excursion of area phi_B / B
+    if variant == "blue":  # counterclockwise
+        square = ((0.0, 0.0), (side, 0.0), (side, side), (0.0, side), (0.0, 0.0))
+    else:
+        square = ((0.0, 0.0), (0.0, side), (side, side), (side, 0.0), (0.0, 0.0))
+    return LoopSpec(f"fig1_{variant}", PathPolyline(square + ((cfg.l, 0.0),)), T)
 
 
 @dataclass(frozen=True)
@@ -271,7 +242,7 @@ def run_fig1_comparison(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
     phi_B: float,
-    T: Optional[float] = None,
+    T: float,
     n: int = 0,
     j: int = 0,
     ramp_fraction: float = 0.1,
@@ -284,10 +255,9 @@ def run_fig1_comparison(
     returns 2 q phi / hbar c: the phase follows the winding flux minus the
     surface flux, not the total.
     """
-    return tuple(
-        run_loop(cfg, grid, fig1_loop_spec(cfg, v, phi_B, T, n, j, ramp_fraction), min_fidelity)
-        for v in ("blue", "green")
-    )
+    specs = (fig1_loop_spec(cfg, v, phi_B, T) for v in ("blue", "green"))
+    schedule = dict(n=n, j=j, ramp_fraction=ramp_fraction)
+    return tuple(run_loop(cfg, grid, replace(s, **schedule), min_fidelity) for s in specs)
 
 
 @dataclass(frozen=True)

@@ -119,8 +119,6 @@ class PathPolyline:
 
     def refined(self, factor: int = 2) -> "PathPolyline":
         """Subdivide every segment into `factor` equal pieces."""
-        if factor < 2:
-            return self
         pts = []
         for a, b in zip(self.vertices, self.vertices[1:]):
             for k in range(factor):

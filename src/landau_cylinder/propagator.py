@@ -104,7 +104,7 @@ def apply_hamiltonian(
 
     y = grid.y[None, :]
     ax = -cfg.B * y + phi_t / cfg.l
-    pix = cfg.hbar * stack.kappas[:, None] - cfg.q * ax / cfg.c
+    pix = cfg.hbar * grid.kappas(stack.mode_offset)[:, None] - cfg.q * ax / cfg.c
     v = pix**2 / (2.0 * cfg.m) - cfg.q * ey_t * y
 
     ky2 = grid.ky**2
@@ -438,7 +438,7 @@ class FactorizationReport:
 def factorized_evolution(
     psi0: Wavefunction,
     protocol: DriveProtocol,
-    tdse_state: Optional[Wavefunction] = None,
+    tdse_state: Wavefunction,
     n_max: int = 40,
 ) -> FactorizationReport:
     """Compare the TDSE against the adiabatic factorization g M(C) D.
@@ -448,12 +448,11 @@ def factorized_evolution(
     COMPLETENESS_TOL of its weight raises TruncationError); M(C) is the
     path-ordered magnetic translation along the protocol's path;
     g = exp(i q B R_y(T) x / hbar c) restores single-valuedness when the
-    drift ends off axis.  Pass tdse_state to reuse an existing run.
+    drift ends off axis.  tdse_state is evolve_tdse's final state for the
+    same psi0 and protocol.
     """
     cfg = protocol.cfg
     grid = psi0.grid
-    if tdse_state is None:
-        tdse_state = evolve_tdse(psi0, protocol).final_state
 
     stack = psi0.to_modes()
     occ = stack.occupied_rows(OCCUPATION_THRESHOLD)

@@ -110,7 +110,7 @@ def check_ab_berry_phase(cfg, grid, rng, levels, phis, T):
     """Adiabatic winding loop: gamma = q phi / hbar c within 1e-3."""
     worst_err, worst_fid = 0.0, 1.0
     for n in levels:
-        spec = ab_loop_spec(cfg, T=T, n=n)
+        spec = replace(ab_loop_spec(cfg, T), n=n)
         for phi in phis:
             res = run_loop(replace(cfg, phi0=phi), grid, spec)
             err = abs(wrap_angle(res.gamma_measured - res.gamma_predicted))
@@ -277,7 +277,7 @@ def check_eigenstate_fidelity(cfg, grid, rng, n_max, j_max, flow_levels):
 def check_adiabatic_convergence(cfg, grid, rng, T_values):
     """Corrected phase error decreases strictly with T; so does the
     factorization discrepancy; infidelity does not grow."""
-    study = adiabatic_study(cfg, grid, ab_loop_spec(cfg), T_values)
+    study = adiabatic_study(cfg, grid, ab_loop_spec(cfg, T_values[0]), T_values)
     ge = np.array([r.gamma_error for r in study])
     disc = np.array([r.discrepancy_norm for r in study])
     infid = np.array([r.infidelity for r in study])

@@ -1,13 +1,24 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from landau_cylinder.cli import _RULES, DEFAULT_CONFIG, main, resolve_config
+from landau_cylinder import CylinderGrid, DriveProtocol, LoopSpec
+from landau_cylinder.cli import (
+    _RULES,
+    DEFAULT_CONFIG,
+    build_grid,
+    build_physics,
+    main,
+    resolve_config,
+)
 from landau_cylinder.core import ConfigError
+from landau_cylinder.experiments import DEFAULT_FIDELITY_GATE
 from landau_cylinder.verify import CHECKS
 
 
@@ -52,6 +63,21 @@ def test_defaults_resolve():
 
 def test_default_config_is_self_consistent():
     resolve_config(json.loads(json.dumps(DEFAULT_CONFIG)))
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # verify, the acceptance gate and the benchmark build their grid with
+    # CylinderGrid.for_config(cfg) and their loops with LoopSpec's and
+    # from_path's defaults; the CLI's defaults must stand for the same numbers
+    conf = resolve_config({})
+    cfg = build_physics(conf)
+    assert build_grid(conf, cfg) == CylinderGrid.for_config(cfg)
+    e = conf["experiment"]
+    assert e["min_fidelity"] == DEFAULT_FIDELITY_GATE
+    spec = {f.name: f.default for f in fields(LoopSpec) if f.name in ("n", "j", "ramp_fraction")}
+    assert {k: e[k] for k in spec} == spec
+    ramp = inspect.signature(DriveProtocol.from_path).parameters["ramp_fraction"].default
+    assert e["ramp_fraction"] == ramp
 
 
 def test_missing_physics_key_is_named():
@@ -203,9 +229,10 @@ def test_eigen_output(tmp_path, capsys):
     embedded = json.loads(lines[0][len("# config: "):])
     assert embedded["physics"]["B"] == 1.0
     assert lines[1] == "n,j,kappa,y_center,energy,residual"
-    assert len(lines) == 2 + 2 * 3  # (n_max+1)(2 j_max+1) rows
-    first = lines[2].split(",")
-    assert int(first[0]) == 0 and int(first[1]) == -1
+    rows = [line.split(",") for line in lines[2:]]
+    # (n_max+1)(2 j_max+1) rows, ordered by (n, j), at E_n = hbar omega (n + 1/2)
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(n, j) for n in (0, 1) for j in (-1, 0, 1)]
+    assert [float(r[4]) for r in rows] == [0.5] * 3 + [1.5] * 3
 
 
 def test_run_deterministic(tmp_path, capsys):

@@ -157,6 +157,18 @@ def test_invalid_inputs_raise(cfg):
         DriveProtocol.from_path(cfg, ab_path(cfg), T=-5.0)
     with pytest.raises(ConfigError):
         DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, ramp_fraction=0.7)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            DriveProtocol(cfg=cfg, T=T)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            DriveProtocol.from_path(cfg, ab_path(cfg), T=T)
+    # slots that round to zero (5e-324: NaN fields), whose square underflows
+    # (1e-300: a zero division in drift_action), or that breakpoints() merges
+    # into a neighbour (1e-13 at T = 0.1)
+    for short in (5e-324, 1e-300, 1e-13):
+        path = PathPolyline(((0.0, 0.0), (short, 0.0), (1.0, 0.0)))
+        with pytest.raises(ConfigError, match="segment 0"):
+            DriveProtocol.from_path(cfg, path, T=0.1)
 
 
 def test_hold_protocol(cfg):

@@ -10,7 +10,6 @@ from landau_cylinder import (
     Wavefunction,
     apply_hamiltonian,
     displaced_gaussian,
-    eigen_table,
     inner_product,
     landau_eigenstate,
     landau_energy,
@@ -140,14 +139,3 @@ def test_displaced_gaussian_center_and_norm(cfg, grid):
     psi = displaced_gaussian(cfg, grid, j=1, center=c0, n=2)
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
     assert psi.expectation_y() == pytest.approx(c0, abs=1e-10)
-
-
-# --- eigen_table -------------------------------------------------------
-
-
-def test_eigen_table_shape_and_order(cfg, grid):
-    table = eigen_table(cfg, grid, n_max=2, j_max=2)
-    assert len(table) == 3 * 5
-    keys = [(e.n, e.j) for e in table]
-    assert keys == sorted(keys)
-    assert table[0].energy == pytest.approx(0.5)

@@ -69,9 +69,9 @@ def test_fig1_variants(cfg):
     assert blue.path.swept_area() == pytest.approx(np.pi / 2 / cfg.B, abs=1e-12)
     assert green.path.swept_area() == pytest.approx(-np.pi / 2 / cfg.B, abs=1e-12)
     with pytest.raises(ValueError):
-        fig1_loop_spec(cfg, "purple", phi_B=1.0)
+        fig1_loop_spec(cfg, "purple", phi_B=1.0, T=10.0)
     with pytest.raises(ValueError):
-        fig1_loop_spec(cfg, "blue", phi_B=-1.0)
+        fig1_loop_spec(cfg, "blue", phi_B=-1.0, T=10.0)
 
 
 def test_run_loop_rejects_open_path(cfg, grid):
@@ -185,7 +185,7 @@ def test_flux_sweep_propagates_unexpected_errors(cfg, grid, monkeypatch):
 
 
 def test_adiabatic_study_quick(cfg, grid):
-    rows = adiabatic_study(cfg, grid, ab_loop_spec(cfg), [25.0, 50.0])
+    rows = adiabatic_study(cfg, grid, ab_loop_spec(cfg, T=25.0), [25.0, 50.0])
     assert rows[1].gamma_error < rows[0].gamma_error
     assert rows[1].infidelity < rows[0].infidelity
     assert rows[1].discrepancy_norm < rows[0].discrepancy_norm

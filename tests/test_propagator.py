@@ -118,7 +118,7 @@ def test_hold_phase_exact_at_any_step(cfg, grid, refine):
 def test_ab_loop_phase_independent_of_dt(cfg, grid):
     # every step is exact, so dt moves the return phase only by rounding
     cfg = replace(cfg, phi0=np.pi / 2)
-    path = ab_loop_spec(cfg).path
+    path = ab_loop_spec(cfg, T=200.0).path
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     phases = []
     for dt in (None, 0.1, 0.01):
@@ -378,7 +378,7 @@ def test_factorization_phase_is_drift_action(cfg, grid):
     path = PathPolyline(((0.0, 0.0), (cfg.l, 0.0)))
     proto = DriveProtocol.from_path(cfg, path, T=100.0)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
-    report = factorized_evolution(psi0, proto)
+    report = factorized_evolution(psi0, proto, evolve_tdse(psi0, proto).final_state)
     assert report.completeness > 1.0 - 1e-12
     assert report.fidelity > 1.0 - 1e-4
     assert report.phase_difference == pytest.approx(report.drift_action, abs=5e-3)
@@ -393,7 +393,8 @@ def test_factorization_discrepancy_shrinks_with_T(cfg, grid):
     gaps = []
     for T in (50.0, 100.0):
         proto = DriveProtocol.from_path(cfg, path, T=T)
-        gaps.append(factorized_evolution(psi0, proto).discrepancy_norm)
+        tdse_state = evolve_tdse(psi0, proto).final_state
+        gaps.append(factorized_evolution(psi0, proto, tdse_state).discrepancy_norm)
     assert gaps[1] < gaps[0]
 
 
@@ -402,4 +403,4 @@ def test_factorization_completeness_guard(cfg, grid):
     psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0) + 2.5)
     proto = DriveProtocol(cfg=cfg, T=1.0)
     with pytest.raises(TruncationError):
-        factorized_evolution(psi0, proto, n_max=1)
+        factorized_evolution(psi0, proto, evolve_tdse(psi0, proto).final_state, n_max=1)
