@@ -160,6 +160,10 @@ class DriveProtocol:
             if not seg.duration > KINK_GAP * self.T:
                 raise ConfigError(f"segment {i} ({seg.delta}) has a time slot of "
                                   f"{seg.duration!r}, not longer than {KINK_GAP:g} T")
+            # drift_action divides by this square, which must not underflow
+            if not (seg.duration - seg.ramp_time) ** 2 >= np.finfo(float).tiny:
+                raise ConfigError(f"segment {i} ({seg.delta}) has a time slot of "
+                                  f"{seg.duration!r}, whose square underflows")
 
     # -- constructors ---------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Time evolution: exact-step TDSE, exact oracle, factorization check.
+"""Time evolution: exact-step TDSE and exact oracle.
 
 The Hamiltonian
 
@@ -11,8 +11,8 @@ factorizes into independent 1D problems: mode j sees the potential
     V_j(y, t) = (hbar kappa_j - q A_x(y, t) / c)^2 / 2m - q E_y(t) y,
 
 the harmonic well m omega^2 (y - b_j(t))^2 / 2 + C_j(t) of fixed frequency
-omega (mode_well gives b and C, here and in evolve_oracle and
-factorized_evolution).  Measured from the well centre at the start of a
+omega (mode_well gives b and C, here and in
+evolve_oracle).  Measured from the well centre at the start of a
 step, that is a static oscillator under a linear force that is the same
 for every row, and for such a Hamiltonian the Magnus series stops at
 second order (Husimi, Prog. Theor. Phys. 9, 381 (1953)).  evolve_tdse
@@ -40,9 +40,11 @@ smooth force; its right-hand side samples the drive in float arithmetic
 On criterion 7's 20 random drives its phase agrees with a rerun at
 rtol 3e-14 to 1e-13, and on its T = 500 rectangle loop to 2.1e-14.
 
-factorized_evolution checks the adiabatic factorization U = g M(C) D U_eps
-by building g M(C) D explicitly and comparing with the TDSE result; the
-reported discrepancy is the footprint of the neglected U_eps.
+Both refuse a grid whose circumference is not the config's l.  The
+adiabatic factorization U = g M(C) D U_eps needs no propagator of its own:
+on the cyclic loops the experiments run, g M(C) D takes the initial
+eigenstate to a phase times itself, so adiabatic_study reads the footprint
+of U_eps off evolve_tdse's final state.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ from .core import (
     inner_product,
 )
 from .drive import DriveProtocol
-from .eigenstates import hermite_profile, mode_well, oscillator_profiles
-from .magtrans import path_ordered_translation
+from .eigenstates import hermite_profile, mode_well
 
 __all__ = [
     "apply_hamiltonian",
@@ -73,8 +74,6 @@ __all__ = [
     "evolve_tdse",
     "OracleResult",
     "evolve_oracle",
-    "FactorizationReport",
-    "factorized_evolution",
 ]
 
 CHECK_SAMPLES = 256
@@ -84,7 +83,6 @@ MAX_BLOCK_ANGLE = np.pi / 2
 GAUSS_NODES = 10
 OCCUPATION_THRESHOLD = 1e-14
 ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
-COMPLETENESS_TOL = 1e-10
 
 
 def apply_hamiltonian(
@@ -136,6 +134,11 @@ class EvolutionRecord:
     final_state: Wavefunction
     n_steps: int
     norm_drift: float
+
+
+def _require_config_grid(psi0: Wavefunction, cfg: PhysicsConfig) -> None:
+    if abs(psi0.grid.l - cfg.l) > 1e-12 * cfg.l:
+        raise ValueError("grid and config disagree about the circumference")
 
 
 def _time_grid(protocol: DriveProtocol) -> list[tuple[float, float, int, int]]:
@@ -250,8 +253,7 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     """
     cfg = protocol.cfg
     grid = psi0.grid
-    if abs(grid.l - cfg.l) > 1e-12 * cfg.l:
-        raise ValueError("grid and config disagree about the circumference")
+    _require_config_grid(psi0, cfg)
 
     stack = psi0.to_modes()
     occ = stack.occupied_rows(OCCUPATION_THRESHOLD)
@@ -345,6 +347,7 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     """
     cfg = protocol.cfg
     grid = psi0.grid
+    _require_config_grid(psi0, cfg)
     stack = psi0.to_modes()
     occ = stack.occupied_rows(OCCUPATION_THRESHOLD)
     if occ.size != 1:
@@ -416,91 +419,3 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     final = Wavefunction.from_modes(ModeStack(grid, profiles, theta))
 
     return OracleResult(final_state=final)
-
-
-@dataclass(frozen=True, eq=False)
-class FactorizationReport:
-    """TDSE result versus the explicit product g M(C) D.
-
-    discrepancy_norm = |psi_tdse - psi_factorized| measures the neglected
-    residual factor directly; phase_difference is its phase on this state.
-    drift_action is the protocol's drift kinetic action, the analytic
-    leading term of that phase.
-    """
-
-    fidelity: float
-    phase_difference: float
-    discrepancy_norm: float
-    drift_action: float
-    completeness: float
-
-
-def factorized_evolution(
-    psi0: Wavefunction,
-    protocol: DriveProtocol,
-    tdse_state: Wavefunction,
-    n_max: int = 40,
-) -> FactorizationReport:
-    """Compare the TDSE against the adiabatic factorization g M(C) D.
-
-    D = exp(-i H(0) T / hbar) acts per mode in the oscillator eigenbasis of
-    the initial well (n <= n_max; a mode whose expansion misses more than
-    COMPLETENESS_TOL of its weight raises TruncationError); M(C) is the
-    path-ordered magnetic translation along the protocol's path;
-    g = exp(i q B R_y(T) x / hbar c) restores single-valuedness when the
-    drift ends off axis.  tdse_state is evolve_tdse's final state for the
-    same psi0 and protocol.
-    """
-    cfg = protocol.cfg
-    grid = psi0.grid
-
-    stack = psi0.to_modes()
-    occ = stack.occupied_rows(OCCUPATION_THRESHOLD)
-    ey0 = float(protocol.efield(0.0)[1])
-    omega = cfg.omega
-    T = protocol.T
-
-    profiles = np.zeros_like(stack.profiles)
-    completeness = 1.0
-    for row in occ:
-        j = int(grid.mode_numbers[row])
-        center, e_shift = mode_well(cfg, j, cfg.phi0, ey0, stack.mode_offset)
-        basis = oscillator_profiles(cfg, grid.y, center, n_max)
-        chi = stack.profiles[row]
-        coeffs = basis @ chi * grid.dy
-        weight = float(np.sum(np.abs(coeffs) ** 2) / (np.sum(np.abs(chi) ** 2) * grid.dy))
-        completeness = min(completeness, weight)
-        if weight < 1.0 - COMPLETENESS_TOL:
-            raise TruncationError(
-                f"oscillator expansion of mode {j} incomplete ({weight:.12f}); "
-                f"raise n_max above {n_max}"
-            )
-        energies = cfg.hbar * omega * (np.arange(n_max + 1) + 0.5) + e_shift
-        profiles[row] = (coeffs * np.exp(-1j * energies * T / cfg.hbar)) @ basis
-
-    psi_d = Wavefunction.from_modes(ModeStack(grid, profiles, stack.mode_offset))
-
-    if protocol.path is None:
-        psi_m = psi_d
-    else:
-        result = path_ordered_translation(psi_d, protocol.path, cfg, check_truncation=False)
-        psi_m = result.state * np.exp(1j * result.accumulated_phase)
-
-    _, ry_T = protocol.displacement(protocol.T)
-    psi_fact = psi_m.multiply_phase_linear_x(cfg.q * cfg.B * float(ry_T) / (cfg.hbar * cfg.c))
-
-    overlap = inner_product(psi_fact, tdse_state)
-    fid = abs(overlap) / (psi_fact.norm() * tdse_state.norm())
-    diff = float(
-        np.sqrt(
-            np.sum(np.abs(tdse_state.amplitudes - psi_fact.amplitudes) ** 2)
-            * grid.dx * grid.dy
-        )
-    )
-    return FactorizationReport(
-        fidelity=float(fid),
-        phase_difference=float(np.angle(overlap)),
-        discrepancy_norm=diff,
-        drift_action=protocol.drift_action(),
-        completeness=completeness,
-    )

@@ -169,6 +169,12 @@ def test_invalid_inputs_raise(cfg):
         path = PathPolyline(((0.0, 0.0), (short, 0.0), (1.0, 0.0)))
         with pytest.raises(ConfigError, match="segment 0"):
             DriveProtocol.from_path(cfg, path, T=0.1)
+    # equal slots that pass the relative test but whose square underflows,
+    # which made drift_action divide by zero
+    for T in (1e-300, 3e-162):
+        path = PathPolyline(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
+        with pytest.raises(ConfigError, match="square underflows"):
+            DriveProtocol.from_path(cfg, path, T=T)
 
 
 def test_hold_protocol(cfg):

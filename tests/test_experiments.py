@@ -185,10 +185,31 @@ def test_flux_sweep_propagates_unexpected_errors(cfg, grid, monkeypatch):
 
 
 def test_adiabatic_study_quick(cfg, grid):
-    rows = adiabatic_study(cfg, grid, ab_loop_spec(cfg, T=25.0), [25.0, 50.0])
-    assert rows[1].gamma_error < rows[0].gamma_error
-    assert rows[1].infidelity < rows[0].infidelity
-    assert rows[1].discrepancy_norm < rows[0].discrepancy_norm
+    rows = adiabatic_study(cfg, grid, ab_loop_spec(cfg, T=25.0), [25.0, 50.0, 100.0])
+    for shorter, longer in zip(rows, rows[1:]):
+        assert longer.gamma_error < shorter.gamma_error
+        assert longer.infidelity < shorter.infidelity
+        assert longer.discrepancy_norm < shorter.discrepancy_norm
     # raw readout is dominated by the drift action, corrected one is not
     for row in rows:
         assert row.gamma_raw_error > 10 * row.gamma_error
+    # the residual factor's phase is the drift action beta: at T = 100 the
+    # return state is e^{i beta} g M(C) D psi0 up to the adiabatic lag
+    last = rows[-1]
+    assert last.infidelity < 1e-4
+    assert last.discrepancy_norm == pytest.approx(
+        abs(np.exp(1j * last.result.drift_action) - 1.0), abs=5e-3
+    )
+
+
+def test_adiabatic_study_without_ramps(cfg, grid):
+    # at ramp fraction 0 the drive starts with E_y(0) != 0; the gap is
+    # still the drift action's footprint, so it falls with T
+    spec = replace(ab_loop_spec(cfg, T=25.0), ramp_fraction=0.0)
+    rows = adiabatic_study(replace(cfg, phi0=np.pi / 2), grid, spec, [25.0, 50.0, 100.0])
+    gaps = [r.discrepancy_norm for r in rows]
+    assert gaps[0] > gaps[1] > gaps[2]
+    for row in rows:
+        assert row.discrepancy_norm == pytest.approx(
+            abs(np.exp(1j * row.result.drift_action) - 1.0), abs=5e-3
+        )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,15 @@ from landau_cylinder import (
     Displacement,
     PathPolyline,
     TruncationError,
+    ab_loop_spec,
     apply_displacement,
     compose_phase,
+    fig1_loop_spec,
     inner_product,
     landau_eigenstate,
     mode_center,
     path_ordered_translation,
+    rectangle_loop_spec,
     sequential_translation,
     translate_x,
     translate_y,
@@ -213,3 +218,21 @@ def test_closed_loop_pure_phase(cfg, grid, make_state, rng):
     overlap = inner_product(psi, total) / psi.norm_sq()
     expected = np.exp(-1j * cfg.q * cfg.B * 0.63 / (cfg.hbar * cfg.c))
     assert overlap == pytest.approx(expected, abs=1e-11)
+    # the experiments' loops, at a flux that makes the winding phase show:
+    # M(C) multiplies any state by exp(i q (w phi - B S) / hbar c), the
+    # loop's predicted phase, with S the area the builder means to sweep
+    c = replace(cfg, phi0=1.3)
+    phi_B = 0.8
+    loops = (
+        (ab_loop_spec(c, 1.0), 1, 0.0),
+        (ab_loop_spec(c, 1.0, winding=2), 2, 0.0),
+        (rectangle_loop_spec(c, 0.5, 1.0), 1, -0.5 * c.l),
+        (fig1_loop_spec(c, "blue", phi_B, 1.0), 1, phi_B / c.B),
+        (fig1_loop_spec(c, "green", phi_B, 1.0), 1, -phi_B / c.B),
+    )
+    for spec, winding, area in loops:
+        res = path_ordered_translation(psi, spec.path, c)
+        gamma = c.q * (winding * c.phi0 - c.B * area) / (c.hbar * c.c)
+        total = res.state * np.exp(1j * res.accumulated_phase)
+        gap = total.amplitudes - np.exp(1j * gamma) * psi.amplitudes
+        assert psi.with_amplitudes(gap).norm() < 1e-12, spec.kind

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau_cylinder import (
+    CylinderGrid,
     DriveProtocol,
     PathPolyline,
     TruncationError,
@@ -15,7 +16,6 @@ from landau_cylinder import (
     evolve_oracle,
     evolve_tdse,
     expectation_energy,
-    factorized_evolution,
     ModeStack,
     PhysicsConfig,
     Wavefunction,
@@ -342,6 +342,13 @@ def test_oracle_rejects_non_eigen_profile(cfg, grid):
     psi = Wavefunction.from_modes(ModeStack(grid, prof, 0.0)).normalized()
     with pytest.raises(ValueError):
         evolve_oracle(psi, DriveProtocol(cfg=cfg, T=1.0))
+    # an eigenstate on a grid of another circumference: both evolutions
+    # refuse it by the same check
+    other = replace(cfg, l=5.0)
+    psi = landau_eigenstate(other, CylinderGrid.for_config(other), 0, 0)
+    for evolve in (evolve_tdse, evolve_oracle):
+        with pytest.raises(ValueError, match="disagree about the circumference"):
+            evolve(psi, DriveProtocol(cfg=cfg, T=1.0))
 
 
 # --- records and guards ------------------------------------------------------
@@ -365,42 +372,3 @@ def test_truncation_guard_fires(cfg, grid):
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     with pytest.raises(TruncationError):
         evolve_tdse(psi0, proto)
-
-
-# --- adiabatic factorization --------------------------------------------------
-
-
-def test_factorization_phase_is_drift_action(cfg, grid):
-    # the residual factor's phase equals the drift kinetic action
-    # (m / 2 hbar) integral |Rdot|^2 dt, protocol-computable and
-    # state-independent; at T = 100 the factorized product matches the
-    # TDSE up to exactly that phase
-    path = PathPolyline(((0.0, 0.0), (cfg.l, 0.0)))
-    proto = DriveProtocol.from_path(cfg, path, T=100.0)
-    psi0 = landau_eigenstate(cfg, grid, 0, 0)
-    report = factorized_evolution(psi0, proto, evolve_tdse(psi0, proto).final_state)
-    assert report.completeness > 1.0 - 1e-12
-    assert report.fidelity > 1.0 - 1e-4
-    assert report.phase_difference == pytest.approx(report.drift_action, abs=5e-3)
-    assert report.discrepancy_norm == pytest.approx(
-        abs(np.exp(1j * report.drift_action) - 1.0), abs=5e-3
-    )
-
-
-def test_factorization_discrepancy_shrinks_with_T(cfg, grid):
-    path = PathPolyline(((0.0, 0.0), (cfg.l, 0.0)))
-    psi0 = landau_eigenstate(cfg, grid, 0, 0)
-    gaps = []
-    for T in (50.0, 100.0):
-        proto = DriveProtocol.from_path(cfg, path, T=T)
-        tdse_state = evolve_tdse(psi0, proto).final_state
-        gaps.append(factorized_evolution(psi0, proto, tdse_state).discrepancy_norm)
-    assert gaps[1] < gaps[0]
-
-
-def test_factorization_completeness_guard(cfg, grid):
-    # far-displaced packet needs many oscillator levels: n_max=1 cannot hold it
-    psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0) + 2.5)
-    proto = DriveProtocol(cfg=cfg, T=1.0)
-    with pytest.raises(TruncationError):
-        factorized_evolution(psi0, proto, evolve_tdse(psi0, proto).final_state, n_max=1)
