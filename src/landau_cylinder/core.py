@@ -79,11 +79,20 @@ def wrap_angle(angle: float) -> float:
     return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
 
 
-def edge_fraction(density: np.ndarray) -> float:
-    """Fraction of a density array (y along the last axis) within BOUNDARY_CELLS of the y edges."""
-    edge = density[..., :BOUNDARY_CELLS].sum() + density[..., -BOUNDARY_CELLS:].sum()
-    total = density.sum()
-    return float(edge / total) if total > 0.0 else 0.0
+def edge_fraction(density: np.ndarray, total: np.ndarray | None = None) -> float | np.ndarray:
+    """Fraction of a (row, y) density within BOUNDARY_CELLS of the y edges.
+
+    Leading axes stack densities, and the result has their shape (a float
+    for one density).  total, the density summed over its last two axes,
+    may be passed by a caller that has it already.
+    """
+    axes = (-2, -1)
+    edge = (density[..., :BOUNDARY_CELLS].sum(axis=axes)
+            + density[..., -BOUNDARY_CELLS:].sum(axis=axes))
+    if total is None:
+        total = density.sum(axis=axes)
+    frac = np.divide(edge, total, out=np.zeros(np.shape(total)), where=total > 0.0)
+    return frac if frac.ndim else float(frac)
 
 
 @dataclass(frozen=True)

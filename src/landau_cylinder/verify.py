@@ -275,22 +275,26 @@ def check_eigenstate_fidelity(cfg, grid, rng, n_max, j_max, flow_levels):
 
 
 def check_adiabatic_convergence(cfg, grid, rng, T_values):
-    """Corrected phase error decreases strictly with T; so does the
-    factorization discrepancy; infidelity does not grow."""
+    """Each rung of T_values (doublings of T) cuts the corrected phase
+    error and the factorization discrepancy to at most 0.75 of the rung
+    before, where they fall to about 0.1-0.2 and 0.5 (a bare decrease would
+    pass a value that is flat up to rounding); infidelity does not grow."""
     study = adiabatic_study(cfg, grid, ab_loop_spec(cfg, T_values[0]), T_values)
     ge = np.array([r.gamma_error for r in study])
     disc = np.array([r.discrepancy_norm for r in study])
     infid = np.array([r.infidelity for r in study])
+    err_ratio = float(np.max(ge[1:] / ge[:-1]))
+    disc_ratio = float(np.max(disc[1:] / disc[:-1]))
     ok = (
-        bool(np.all(np.diff(ge) < 0))
-        and bool(np.all(np.diff(disc) < 0))
+        err_ratio <= 0.75
+        and disc_ratio <= 0.75
         and bool(np.all(np.diff(infid) <= 1e-12))
     )
     detail = ", ".join(
         f"T={r.T:g}: err {r.gamma_error:.1e}/disc {r.discrepancy_norm:.1e}"
         for r in study
     )
-    return ok, detail
+    return ok, f"{detail}; worst ratio err {err_ratio:.2f}/disc {disc_ratio:.2f} (tol 0.75)"
 
 
 def check_integrator_quality(cfg, grid, rng, norm_T):

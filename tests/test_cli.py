@@ -249,6 +249,15 @@ def test_run_deterministic(tmp_path, capsys):
     assert abs(result["gamma_measured"] - result["gamma_predicted"]) < 0.1
 
 
+def test_sweep_deterministic(tmp_path, capsys):
+    cfgfile = write_config(tmp_path, QUICK)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--config", str(cfgfile), "--out", str(a), "sweep"]) == 0
+    assert main(["--config", str(cfgfile), "--out", str(b), "sweep"]) == 0
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    assert (a / "sweep.json").read_bytes() == (b / "sweep.json").read_bytes()
+
+
 @pytest.mark.parametrize("experiment, error", [
     ({"T": 5.0, "min_fidelity": 0.9999}, "NonCyclicEvolutionError"),
     ({"kind": "general_loop", "height": 11.0}, "TruncationError"),

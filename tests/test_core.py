@@ -196,6 +196,8 @@ def test_boundary_mass_small_for_centered_state(cfg, grid):
     density[0, 0] = density[1, -1] = 1.0
     density[:, grid.Ny // 2] = 4.0
     assert edge_fraction(density) == 0.2
+    # a stack gives one fraction per density, and an empty one gives 0
+    np.testing.assert_array_equal(edge_fraction(np.stack([density, 0 * density])), [0.2, 0.0])
 
 
 def test_truncation_sees_four_edge_cells(cfg, grid):

@@ -171,12 +171,8 @@ def reference_tdse(psi0, protocol):
     return final, float(np.max(np.abs(norms - norms[0]))), edge_time
 
 
-@pytest.mark.parametrize("case", ["winding", "hold", "hold_long", "wiggle", "two_rows"])
-def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
-    # evolve_tdse applies each natural step's translations at its start,
-    # writes the potential factor as a complete square and merges the
-    # kinetic factors between steps; the step-by-step reference keeps every
-    # factor apart, so the two agree to rounding
+def stepper_case(cfg, grid, case):
+    """(psi0, protocol) of a named evolve_tdse case."""
     cfg = replace(cfg, phi0=np.pi / 2)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     if case == "winding":
@@ -191,10 +187,39 @@ def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
         amps = psi0.amplitudes + landau_eigenstate(cfg, grid, 1, 1).amplitudes
         psi0 = Wavefunction(grid, amps, 0.0).normalized()
         proto = rectangle_loop_spec(cfg, height=1.0, T=40.0).protocol(cfg)
+    return psi0, proto
+
+
+@pytest.mark.parametrize("case", ["winding", "hold", "hold_long", "wiggle", "two_rows"])
+def test_tdse_bitwise_equals_reference_loop(cfg, grid, case):
+    # evolve_tdse applies each natural step's translations at its start,
+    # writes the potential factor as a complete square and merges the
+    # kinetic factors between steps; the step-by-step reference keeps every
+    # factor apart, so the two agree to rounding
+    psi0, proto = stepper_case(cfg, grid, case)
     rec = evolve_tdse(psi0, proto)
     expected, drift, _ = reference_tdse(psi0, proto)
     assert np.max(np.abs(rec.final_state.amplitudes - expected.amplitudes)) <= 1e-12
     assert abs(rec.norm_drift - drift) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["winding", "hold_long", "two_rows"])
+def test_tdse_bits_do_not_depend_on_block_size(cfg, grid, case, monkeypatch):
+    # blocks of one step, and blocks of four steps of one row (two of two
+    # rows), which split hold_long's natural steps of six steps across two
+    # blocks, give the bytes of the default block
+    psi0, proto = stepper_case(cfg, grid, case)
+    if case == "hold_long":
+        assert [k for *_, k in _time_grid(proto)] == [6]
+
+    def run():
+        rec = evolve_tdse(psi0, proto)
+        return rec.final_state.amplitudes.tobytes(), rec.norm_drift, rec.n_steps
+
+    default = run()
+    for block_values in (1, 4 * grid.Ny):
+        monkeypatch.setattr(propagator, "BLOCK_VALUES", block_values)
+        assert run() == default, block_values
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,6 +272,21 @@ def test_truncation_time_is_a_reference_check_step(cfg, grid):
     assert edge_time is not None
     t_edge = f"t = {edge_time:.3f};"
     with pytest.raises(TruncationError, match=t_edge):
+        evolve_tdse(psi0, proto)
+
+
+def test_truncation_inside_a_block_on_default_grid(cfg, grid):
+    # the kicked packet on the default grid (one natural step per step):
+    # its first offending check lies inside a block of checks, neither
+    # the block's first nor its last, and is the one the error names
+    proto = DriveProtocol(cfg=cfg, T=10.0)
+    ((_, h, _, k),) = _time_grid(proto)
+    assert k == 1
+    psi0 = displaced_gaussian(cfg, grid, j=0, center=mode_center(cfg, 0), momentum=8.0)
+    _, _, edge_time = reference_tdse(psi0, proto)
+    block = propagator.BLOCK_VALUES // grid.Ny
+    assert 0 < (round(edge_time / h) - 1) % block < block - 1
+    with pytest.raises(TruncationError, match=f"t = {edge_time:.3f};"):
         evolve_tdse(psi0, proto)
 
 
