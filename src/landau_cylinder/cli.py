@@ -19,6 +19,7 @@ config error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -62,7 +63,10 @@ DEFAULT_CONFIG = {
         "phi0": math.pi / 2,
         "l": 2 * math.pi,
     },
-    "grid": {"Nx": 64, "Ny": 512, "y_min": -12.0, "y_max": 12.0},
+    # CylinderGrid.for_config's defaults, so the CLI and the library share one grid
+    "grid": {name: p.default
+             for name, p in inspect.signature(CylinderGrid.for_config).parameters.items()
+             if p.default is not p.empty},
     "experiment": {
         "kind": "ab_loop",
         "T": 200.0,
@@ -146,7 +150,7 @@ def _check(path: str, value, kind, rule):
     return value
 
 
-def _section(raw: dict, name: str, default: dict, required_keys=()) -> dict:
+def _section(raw: dict, name: str, default: dict, required_keys) -> dict:
     sect = raw.get(name, None)
     if sect is None:
         sect = {}

@@ -24,6 +24,7 @@ theta) / l with integer j in the grid's Nyquist range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,6 +184,10 @@ class CylinderGrid:
             n = getattr(self, name)
             if n < 8 or (n & (n - 1)) != 0:
                 raise ConfigError(f"{name} must be a power of two >= 8 (got {n})")
+        for name in ("y_min", "y_max", "l"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite (got {value!r})")
         if not self.y_min < self.y_max:
             raise ConfigError(f"y_min must be below y_max (got {self.y_min}, {self.y_max})")
         if self.l <= 0:
@@ -264,7 +269,7 @@ class ModeStack:
         """Per-mode probability content, integral |chi_j|^2 dy."""
         return np.sum(np.abs(self.profiles) ** 2, axis=1) * self.grid.dy
 
-    def occupied_rows(self, rel_threshold: float = 1e-14) -> np.ndarray:
+    def occupied_rows(self, rel_threshold: float) -> np.ndarray:
         """Rows carrying more than rel_threshold of the total probability."""
         weights = self.mode_norms_sq()
         total = float(weights.sum())

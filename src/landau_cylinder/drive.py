@@ -139,22 +139,21 @@ class SegmentSchedule:
 class DriveProtocol:
     """A complete drive: a scheduled polyline path, or no drive at all.
 
-    from_path builds every driven protocol; DriveProtocol(cfg=cfg, T=T)
-    is no drive at all (path is None and segments is empty).  dt is the
-    largest step evolve_tdse may take, or None for its own grid; any
+    from_path builds every driven protocol from a path's segments;
+    DriveProtocol(cfg=cfg, T=T) has no segments and is no drive at all.  dt
+    is the largest step evolve_tdse may take, or None for its own grid; any
     positive value is valid, and none changes a result beyond rounding.
     """
 
     cfg: PhysicsConfig
     T: float
     dt: Optional[float] = None
-    path: Optional[PathPolyline] = None
     segments: tuple[SegmentSchedule, ...] = ()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ConfigError(f"protocol duration must be positive and finite (got {self.T})")
-        if self.dt is not None and self.dt <= 0.0:
+        if self.dt is not None and not self.dt > 0.0:
             raise ConfigError(f"dt must be positive (got {self.dt})")
         for i, seg in enumerate(self.segments):
             if not seg.duration > KINK_GAP * self.T:
@@ -195,7 +194,7 @@ class DriveProtocol:
                 )
             )
             t0 += duration
-        return cls(cfg=cfg, T=T, dt=dt, path=path, segments=tuple(segments))
+        return cls(cfg=cfg, T=T, dt=dt, segments=tuple(segments))
 
     # -- kinematics -------------------------------------------------------
 

@@ -22,7 +22,6 @@ from .core import ConfigError, CylinderGrid, ModeStack, PhysicsConfig, Wavefunct
 
 __all__ = [
     "hermite_profile",
-    "oscillator_profiles",
     "mode_center",
     "mode_well",
     "landau_energy",
@@ -31,34 +30,25 @@ __all__ = [
 ]
 
 
-def oscillator_profiles(
-    cfg: PhysicsConfig, y: np.ndarray, center: float, n_max: int
-) -> np.ndarray:
-    """Normalized oscillator eigenfunctions phi_0..phi_n_max, stacked.
+def hermite_profile(cfg: PhysicsConfig, y: np.ndarray, center: float, n: int) -> np.ndarray:
+    """Single normalized oscillator eigenfunction phi_n(y - center).
 
     Uses the stable two-term recurrence on the *normalized* functions,
 
-        phi_n = sqrt(2/n) xi phi_{n-1} - sqrt((n-1)/n) phi_{n-2},
+        phi_k = sqrt(2/k) xi phi_{k-1} - sqrt((k-1)/k) phi_{k-2},
 
-    with xi = (y - center) sqrt(m omega / hbar), which avoids the
-    catastrophic growth of raw Hermite polynomials.
+    with xi = (y - center) sqrt(m omega / hbar) and phi_{-1} = 0, which
+    avoids the catastrophic growth of raw Hermite polynomials.
     """
-    scale = np.sqrt(cfg.m * cfg.omega / cfg.hbar)
-    xi = (np.asarray(y) - center) * scale
-    out = np.zeros((n_max + 1,) + xi.shape)
-    out[0] = (cfg.m * cfg.omega / (np.pi * cfg.hbar)) ** 0.25 * np.exp(-0.5 * xi**2)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * xi * out[0]
-    for n in range(2, n_max + 1):
-        out[n] = np.sqrt(2.0 / n) * xi * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
-    return out  # the (m omega / pi hbar)^{1/4} prefactor gives unit L2 norm in y
-
-
-def hermite_profile(cfg: PhysicsConfig, y: np.ndarray, center: float, n: int) -> np.ndarray:
-    """Single normalized oscillator eigenfunction phi_n(y - center)."""
     if n < 0:
         raise ConfigError(f"level index must be non-negative (got {n})")
-    return oscillator_profiles(cfg, y, center, n)[n]
+    scale = np.sqrt(cfg.m * cfg.omega / cfg.hbar)
+    xi = (np.asarray(y) - center) * scale
+    # the (m omega / pi hbar)^{1/4} prefactor gives unit L2 norm in y
+    prev, cur = 0.0, (cfg.m * cfg.omega / (np.pi * cfg.hbar)) ** 0.25 * np.exp(-0.5 * xi**2)
+    for k in range(1, n + 1):
+        prev, cur = cur, np.sqrt(2.0 / k) * xi * cur - np.sqrt((k - 1.0) / k) * prev
+    return cur
 
 
 def mode_center(cfg: PhysicsConfig, j: int, phi=None, mode_offset: float = 0.0) -> float:

@@ -178,12 +178,7 @@ class ExperimentResult:
         return asdict(self)
 
 
-def _run_spec(
-    cfg: PhysicsConfig,
-    grid: CylinderGrid,
-    spec: LoopSpec,
-    min_fidelity: float = DEFAULT_FIDELITY_GATE,
-):
+def _run_spec(cfg: PhysicsConfig, grid: CylinderGrid, spec: LoopSpec, min_fidelity: float):
     """Execute one loop experiment: (result, psi0, record)."""
     net = spec.path.net_displacement
     winding_f = net.rx / cfg.l
@@ -338,7 +333,7 @@ def adiabatic_study(
     """
     rows = []
     for T in T_values:
-        result, psi0, record = _run_spec(cfg, grid, replace(spec, T=float(T)), min_fidelity=0.0)
+        result, psi0, record = _run_spec(cfg, grid, replace(spec, T=float(T)), 0.0)
         ideal = np.exp(1j * (result.gamma_predicted - result.dynamical_phase)) * psi0.amplitudes
         psi_T = record.final_state
         rows.append(

@@ -59,9 +59,6 @@ class Displacement:
     def __add__(self, other: "Displacement") -> "Displacement":
         return Displacement(self.rx + other.rx, self.ry + other.ry)
 
-    def __sub__(self, other: "Displacement") -> "Displacement":
-        return Displacement(self.rx - other.rx, self.ry - other.ry)
-
     def cross(self, other: "Displacement") -> float:
         """(self x other) . n with n = e_x cross e_y."""
         return self.rx * other.ry - self.ry * other.rx
@@ -117,7 +114,7 @@ class PathPolyline:
         # closing terms vanish because the path starts at the origin
         return float(0.5 * np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
-    def refined(self, factor: int = 2) -> "PathPolyline":
+    def refined(self, factor: int) -> "PathPolyline":
         """Subdivide every segment into `factor` equal pieces."""
         pts = []
         for a, b in zip(self.vertices, self.vertices[1:]):
@@ -151,16 +148,14 @@ def translate_x(psi: Wavefunction, rx: float, cfg: PhysicsConfig) -> Wavefunctio
     return psi.with_amplitudes(u * (flux_phase * offset_phase))
 
 
-def translate_y(
-    psi: Wavefunction, ry: float, cfg: PhysicsConfig, check_truncation: bool = True
-) -> Wavefunction:
+def translate_y(psi: Wavefunction, ry: float, cfg: PhysicsConfig) -> Wavefunction:
     """Magnetic translation along the axis by ry.
 
     Spectral y shift of every mode profile followed by the gauge phase
     exp(-i q B ry x / hbar c).  The phase is quantized (offset preserving)
     iff B l ry is an integer number of flux quanta; then the mode index
-    ladder shifts by that integer.  Callers are responsible for keeping the
-    shifted state inside the y window; by default this is verified.
+    ladder shifts by that integer.  The shifted state must stay inside the
+    y window: probability at its edges raises TruncationError.
     """
     grid = psi.grid
     cells = ry / grid.dy
@@ -171,8 +166,7 @@ def translate_y(
         u = np.fft.ifft(np.fft.fft(psi.amplitudes, axis=1) * np.exp(-1j * grid.ky * ry)[None, :], axis=1)
     shifted = psi.with_amplitudes(u)
     out = shifted.multiply_phase_linear_x(-cfg.q * cfg.B * ry / (cfg.hbar * cfg.c))
-    if check_truncation:
-        out.check_truncation()
+    out.check_truncation()
     return out
 
 
@@ -181,9 +175,7 @@ def compose_phase(r1: Displacement, r2: Displacement, cfg: PhysicsConfig) -> flo
     return -cfg.q * cfg.B * r1.cross(r2) / (2.0 * cfg.hbar * cfg.c)
 
 
-def apply_displacement(
-    psi: Wavefunction, disp: Displacement, cfg: PhysicsConfig, check_truncation: bool = True
-) -> Wavefunction:
+def apply_displacement(psi: Wavefunction, disp: Displacement, cfg: PhysicsConfig) -> Wavefunction:
     """Mixed magnetic translation M(disp) = exp(-(i/hbar) P . disp).
 
     Implemented as the x translation followed by the y translation with the
@@ -192,7 +184,7 @@ def apply_displacement(
     i q B rx ry / hbar c).
     """
     out = translate_x(psi, disp.rx, cfg)
-    out = translate_y(out, disp.ry, cfg, check_truncation=check_truncation)
+    out = translate_y(out, disp.ry, cfg)
     corr = np.exp(0.5j * cfg.q * cfg.B * disp.rx * disp.ry / (cfg.hbar * cfg.c))
     return out * corr
 
@@ -212,7 +204,7 @@ class TranslationResult:
 
 
 def path_ordered_translation(
-    psi: Wavefunction, path: PathPolyline, cfg: PhysicsConfig, check_truncation: bool = True
+    psi: Wavefunction, path: PathPolyline, cfg: PhysicsConfig
 ) -> TranslationResult:
     """Ordered product of magnetic translations along a polyline.
 
@@ -221,13 +213,13 @@ def path_ordered_translation(
     telescoping is verified operationally by sequential_translation, which
     this function must agree with to near machine precision.
     """
-    state = apply_displacement(psi, path.net_displacement, cfg, check_truncation=check_truncation)
+    state = apply_displacement(psi, path.net_displacement, cfg)
     phase = -cfg.q * cfg.B * path.swept_area() / (cfg.hbar * cfg.c)
     return TranslationResult(state=state, accumulated_phase=phase)
 
 
 def sequential_translation(
-    psi: Wavefunction, path: PathPolyline, cfg: PhysicsConfig, check_truncation: bool = False
+    psi: Wavefunction, path: PathPolyline, cfg: PhysicsConfig
 ) -> tuple[Wavefunction, float]:
     """Apply the path segment by segment, accumulating composition phases.
 
@@ -236,14 +228,14 @@ def sequential_translation(
     phases and all); the returned float is the phase predicted by summing
     the pairwise composition identity along the way.  Consistency demands
     state = exp(i phase) M(net) psi with phase = -(q / hbar c) B S.
-    Truncation checks default off because intermediate vertices may pass
-    closer to the window edge than the endpoints.
+    Every intermediate state is checked for truncation, since a vertex may
+    pass closer to the window edge than the endpoints.
     """
     state = psi
     reached = Displacement(0.0, 0.0)
     phase = 0.0
     for seg in path.segments:
-        state = apply_displacement(state, seg, cfg, check_truncation=check_truncation)
+        state = apply_displacement(state, seg, cfg)
         phase += compose_phase(reached, seg, cfg)
         reached = reached + seg
     return state, phase

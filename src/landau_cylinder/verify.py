@@ -43,10 +43,10 @@ from .propagator import apply_hamiltonian, evolve_oracle, evolve_tdse, expectati
 __all__ = ["Check", "CHECKS", "run_all_checks"]
 
 
-def _random_state(cfg, grid, rng, n_modes=3):
-    """Random low-lying superposition, well inside the window."""
+def _random_state(cfg, grid, rng):
+    """Random superposition of three low-lying eigenstates, well inside the window."""
     psi = None
-    for _ in range(n_modes):
+    for _ in range(3):
         n = int(rng.integers(0, 3))
         j = int(rng.integers(-2, 3))
         c = complex(rng.normal(), rng.normal())
@@ -478,7 +478,7 @@ CHECKS = (
 )
 
 
-def run_all_checks(seed: int = 0):
+def run_all_checks(seed: int):
     """Run every row, on its quick inputs where it has them and on its full
     inputs otherwise; returns (name, ok, detail) rows.
 

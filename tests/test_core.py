@@ -88,6 +88,13 @@ def test_grid_requires_power_of_two(cfg):
         CylinderGrid.for_config(cfg, Nx=4)
 
 
+def test_grid_rejects_non_finite_geometry():
+    for y_min, y_max, l in ((-math.inf, 1.0, 1.0), (-1.0, math.inf, 1.0), (math.nan, 1.0, 1.0),
+                            (-1.0, 1.0, math.nan), (-1.0, 1.0, math.inf)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            CylinderGrid(Nx=8, Ny=8, y_min=y_min, y_max=y_max, l=l)
+
+
 def test_grid_axes(cfg):
     g = CylinderGrid.for_config(cfg, Nx=16, Ny=64, y_min=-4.0, y_max=4.0)
     assert g.x[0] == 0.0

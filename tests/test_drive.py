@@ -151,8 +151,9 @@ def test_requested_dt_is_kept(cfg):
 
 
 def test_invalid_inputs_raise(cfg):
-    with pytest.raises(ConfigError):
-        DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, dt=-0.1)
+    for dt in (-0.1, math.nan):
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            DriveProtocol.from_path(cfg, ab_path(cfg), T=10.0, dt=dt)
     with pytest.raises(ConfigError):
         DriveProtocol.from_path(cfg, ab_path(cfg), T=-5.0)
     with pytest.raises(ConfigError):
@@ -185,7 +186,6 @@ def test_hold_protocol(cfg):
     np.testing.assert_array_equal(ex, 0.0)
     np.testing.assert_array_equal(ey, 0.0)
     assert proto.drift_action() == 0.0
-    assert proto.path is None
     assert proto.breakpoints().tolist() == [0.0, 5.0]
 
 
