@@ -182,7 +182,7 @@ class CylinderGrid:
     def __post_init__(self) -> None:
         for name in ("Nx", "Ny"):
             n = getattr(self, name)
-            if n < 8 or (n & (n - 1)) != 0:
+            if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
                 raise ConfigError(f"{name} must be a power of two >= 8 (got {n})")
         for name in ("y_min", "y_max", "l"):
             value = getattr(self, name)

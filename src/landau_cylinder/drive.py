@@ -22,8 +22,9 @@ right-hand side, which calls it thousands of times per drive;
 tests/test_drive.py holds it to 2 ulp of the array formulas on random
 drives.  Between consecutive breakpoints() (segment starts and ramp ends)
 every field is smooth, so evolve_tdse and evolve_oracle never step across
-one.  A protocol holds no time grid: its optional dt only splits
-evolve_tdse's steps, which are exact at any length, so no experiment sets it.
+one.  A protocol holds no time grid: its optional dt only caps the width of
+evolve_tdse's quadrature pieces, which are exact to rounding without it, so
+no experiment sets it.
 
 The drift kinetic action
 
@@ -141,8 +142,9 @@ class DriveProtocol:
 
     from_path builds every driven protocol from a path's segments;
     DriveProtocol(cfg=cfg, T=T) has no segments and is no drive at all.  dt
-    is the largest step evolve_tdse may take, or None for its own grid; any
-    positive value is valid, and none changes a result beyond rounding.
+    is the widest quadrature piece evolve_tdse may take, or None for its own
+    grid; any positive value is valid, and none changes a result beyond
+    rounding.
     """
 
     cfg: PhysicsConfig

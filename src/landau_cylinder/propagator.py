@@ -1,4 +1,4 @@
-"""Time evolution: exact-step TDSE and exact oracle.
+"""Time evolution: whole-drive TDSE and exact oracle.
 
 The Hamiltonian
 
@@ -11,25 +11,21 @@ factorizes into independent 1D problems: mode j sees the potential
     V_j(y, t) = (hbar kappa_j - q A_x(y, t) / c)^2 / 2m - q E_y(t) y,
 
 the harmonic well m omega^2 (y - b_j(t))^2 / 2 + C_j(t) of fixed frequency
-omega (mode_well gives b and C, here and in
-evolve_oracle).  Measured from the well centre at the start of a
-step, that is a static oscillator under a linear force that is the same
-for every row, and for such a Hamiltonian the Magnus series stops at
-second order (Husimi, Prog. Theor. Phys. 9, 381 (1953)).  evolve_tdse
-therefore takes steps that are exact for any drive: each step is the
-static oscillator's propagator, split exactly into kinetic factors of
-effective time tan(omega h / 2) / omega (applied via FFT) around a
-potential factor weighted by sin(omega h) / omega, times a displacement
-and a phase built from force integrals that 10-node Gauss-Legendre
-quadrature evaluates to rounding on the smooth drive between two
-breakpoints.  Its steps (see _time_grid) never cross a breakpoint, keep
-omega h <= MAX_BLOCK_ANGLE, and end at about CHECK_SAMPLES norm and
-boundary checks; a protocol's dt only splits them further.  The steps
-of an interval run in blocks of at most BLOCK_VALUES complex values: a
-block builds the factors of all its steps at once, and checks the end
-states of its natural steps with one stacked inverse FFT.  Only the
-occupied mode rows are propagated, each factor is unitary, and
-probability at the y boundary raises TruncationError.
+omega (mode_well gives b and C, here and in evolve_oracle).  Measured from
+the well centre at t = 0, that is a static oscillator under a linear force
+that is the same for every row, and for such a Hamiltonian the Magnus
+series stops at second order (Husimi, Prog. Theor. Phys. 9, 381 (1953);
+Blanes et al., Phys. Rep. 470, 151 (2009)).  evolve_tdse therefore
+propagates the whole drive at once, exactly for any drive: one free
+rotation by the static well, one Weyl displacement by the classical end
+offset, and one phase, all built from four force integrals that 10-node
+Gauss-Legendre quadrature evaluates to rounding on pieces of the smooth
+drive between two breakpoints (see _time_grid; a protocol's dt only caps
+their width).  The rotation is (-1)^K times at most four exact V K V
+pieces, so an experiment makes at most ten FFT calls whatever T.  Only
+the occupied mode rows are propagated, each factor is unitary, and
+probability at the y boundary, in the rotated initial state or in the
+final state, raises TruncationError.
 
 evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
@@ -79,15 +75,11 @@ __all__ = [
     "evolve_oracle",
 ]
 
-CHECK_SAMPLES = 256
-# longest step, as omega * h: tan(omega h / 2) <= 1 keeps its kinetic factor
-# well conditioned
-MAX_BLOCK_ANGLE = np.pi / 2
+# longest quadrature piece and rotation piece, as omega * h: the 10-node rule
+# is exact to rounding on such pieces, and tan(omega h / 2) <= 1 keeps a
+# rotation's potential factors well conditioned
+MAX_PIECE_ANGLE = np.pi / 2
 GAUSS_NODES = 10
-# evolve_tdse's block of steps, in complex values of (step, row, y): blocks
-# of 2048 to 32768 values stepped a 512-point row equally fast, and a long
-# sweep's peak memory rose by 1 MB at 8192 but not at 4096
-BLOCK_VALUES = 4096
 OCCUPATION_THRESHOLD = 1e-14
 ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
 
@@ -130,12 +122,11 @@ def expectation_energy(psi: Wavefunction, cfg: PhysicsConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
-    """TDSE run result: the final state and the number of steps taken.
+    """TDSE run result: the final state and the number of quadrature pieces.
 
-    norm_drift is the largest deviation of the norm, sampled at every
-    check (see _time_grid), from the norm of the whole initial state; the
-    stepper is unitary, so this measures accumulated rounding and any
-    probability left in rows too empty to propagate.
+    norm_drift is |norm(psi(T)) - norm(psi0)|, psi0 whole; every factor is
+    unitary, so this measures rounding and any probability left in rows
+    too empty to propagate.
     """
 
     final_state: Wavefunction
@@ -148,22 +139,21 @@ def _require_config_grid(psi0: Wavefunction, cfg: PhysicsConfig) -> None:
         raise ValueError("grid and config disagree about the circumference")
 
 
-def _time_grid(protocol: DriveProtocol) -> list[tuple[float, float, int, int]]:
-    """evolve_tdse's steps, as (t0, h, n, k) per interval between breakpoints:
-    n natural steps of length h from t0, each split into k equal steps.
+def _time_grid(protocol: DriveProtocol) -> list[tuple[float, float, int]]:
+    """The quadrature pieces, as (t0, h, n) per interval between breakpoints:
+    n equal pieces of width h from t0.
 
-    A natural step has omega h <= MAX_BLOCK_ANGLE and h <= T / CHECK_SAMPLES,
-    and each one ends at a norm and boundary check.  k is 1, or the fewest
-    steps of at most protocol.dt when one is given.
+    n is the fewest with omega h <= MAX_PIECE_ANGLE, and with h <= protocol.dt
+    when one is given.
     """
     times = protocol.breakpoints()
-    h_max = min(MAX_BLOCK_ANGLE / protocol.cfg.omega, protocol.T / CHECK_SAMPLES)
+    h_max = MAX_PIECE_ANGLE / protocol.cfg.omega
+    if protocol.dt is not None:
+        h_max = min(h_max, protocol.dt)
     grid = []
     for t0, t1 in zip(times[:-1], times[1:]):
         n = max(1, int(np.ceil((t1 - t0) / h_max - 1e-9)))
-        h = (t1 - t0) / n
-        k = 1 if protocol.dt is None else max(1, int(np.ceil(h / protocol.dt - 1e-9)))
-        grid.append((float(t0), h, n, k))
+        grid.append((float(t0), (t1 - t0) / n, n))
     return grid
 
 
@@ -198,74 +188,95 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xi, w, q
 
 
-def _step_coefficients(
-    protocol: DriveProtocol, modes: np.ndarray, mode_offset: float, start: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(b0, A, beta, Phi) of the exact step from each start over h, per row and step.
+def _drive_integrals(
+    protocol: DriveProtocol, pieces: list, modes: np.ndarray, mode_offset: float
+) -> tuple[np.ndarray, ...]:
+    """(b0, A, S, G, D) of the whole drive, per row.
 
-    In x = y - b0, with b0 the row's well centre at the step start, the
-    row sees the static well m omega^2 x^2 / 2 plus -f(s) x + g(s), where
-    f = m omega^2 (b(t0 + s) - b0) and g = f^2 / 2 m omega^2 + C.  The
-    step's propagator is then exactly
+    In x = y - b0, with b0 the row's well centre at t = 0, the row sees the
+    static well m omega^2 x^2 / 2 plus -f(t) x + g(t), where
+    f = m omega^2 (b(t) - b0) and g = f^2 / 2 m omega^2 + C, and over [0, T]
 
-        K exp(-i m omega^2 sigma x^2 / 2 hbar + i A x / hbar) K e^{i beta k_y} e^{i Phi},
+        A = int f cos(omega t),  S = int f sin(omega t),  G = int g,
+        D = int int_{t2 < t1} f(t1) f(t2) sin(omega (t1 - t2)).
 
-    K = exp(-i hbar k_y^2 tau / 2m), tau = tan(omega h / 2) / omega,
-    sigma = sin(omega h) / omega, beta = B - A tau / m and
-    Phi = (-G + D / 2 m omega - A^2 tau / 2m + A B / 2) / hbar, with
-    A = int f cos(omega s), B = int f sin(omega s) / m omega, G = int g and
-    D = int int_{s2 < s1} f(s1) f(s2) sin(omega (s1 - s2)) over [0, h].
+    Each piece of the time grid is integrated by GAUSS_NODES-point
+    Gauss-Legendre, D's inner integral by the rule's interpolant (Q of
+    _gauss_legendre), and D's cross terms between pieces from the running
+    sums of A and S.  The drive is sampled once per interval.
     """
     cfg = protocol.cfg
-    omega, m = cfg.omega, cfg.m
-    stiffness = m * omega**2
+    omega = cfg.omega
+    stiffness = cfg.m * omega**2
     xi, w, q = _gauss_legendre()
-    s = 0.5 * h * (xi + 1.0)
-    t = start[:, None] + np.append(0.0, s)
-    phi = np.asarray(protocol.flux(t), dtype=float)
-    ey = np.asarray(protocol.efield(t)[1], dtype=float)
-    b, c = mode_well(cfg, modes[:, None, None], phi, ey, mode_offset)
-    f = stiffness * (b[..., 1:] - b[..., :1])
-    fc, fs = f * np.cos(omega * s), f * np.sin(omega * s)
-    # einsum, not @: these small sums would load BLAS and its buffers (peak memory)
-    A = 0.5 * h * np.einsum("...k,k", fc, w)
-    B = 0.5 * h * np.einsum("...k,k", fs, w) / (m * omega)
-    G = 0.5 * h * np.einsum("...k,k", f * f / (2.0 * stiffness) + c[..., 1:], w)
-    inner_c, inner_s = np.einsum("...l,kl", fc, q), np.einsum("...l,kl", fs, q)
-    D = 0.25 * h * h * np.einsum("...k,k", fs * inner_c - fc * inner_s, w)
-    tau = np.tan(0.5 * omega * h) / omega
-    phase = (-G + D / (2.0 * m * omega) - A * A * tau / (2.0 * m) + 0.5 * A * B) / cfg.hbar
-    return b[..., 0], A, B - A * tau / m, phase
+    b0 = mode_well(cfg, modes, protocol.flux(0.0), protocol.efield(0.0)[1], mode_offset)[0]
+    A = S = G = D = np.zeros(modes.shape)
+    for t0, h, n in pieces:
+        t = t0 + h * (np.arange(n)[:, None] + 0.5 * (xi + 1.0))
+        phi = np.asarray(protocol.flux(t), dtype=float)
+        ey = np.asarray(protocol.efield(t)[1], dtype=float)
+        b, c = mode_well(cfg, modes[:, None, None], phi, ey, mode_offset)
+        f = stiffness * (b - b0[:, None, None])
+        fc, fs = f * np.cos(omega * t), f * np.sin(omega * t)
+        # per piece; einsum, not @: these small sums would load BLAS and its buffers (peak memory)
+        a = 0.5 * h * np.einsum("...k,k", fc, w)
+        s = 0.5 * h * np.einsum("...k,k", fs, w)
+        g = 0.5 * h * np.einsum("...k,k", f * f / (2.0 * stiffness) + c, w)
+        inner_c, inner_s = np.einsum("...l,kl", fc, q), np.einsum("...l,kl", fs, q)
+        d = 0.25 * h * h * np.einsum("...k,k", fs * inner_c - fc * inner_s, w)
+        # D's cross terms: each piece against everything before it
+        a_before = A[:, None] + np.cumsum(a, axis=1) - a
+        s_before = S[:, None] + np.cumsum(s, axis=1) - s
+        D = D + (d + s * a_before - a * s_before).sum(axis=1)
+        A, S, G = A + a.sum(axis=1), S + s.sum(axis=1), G + g.sum(axis=1)
+    return b0, A, S, G, D
+
+
+def _check_window(prof: np.ndarray, grid, where: str, shift=0.0) -> float:
+    """Total probability of the (row, y) profiles prof, in grid units.
+
+    Raises TruncationError if probability sits within BOUNDARY_CELLS of the
+    y edges, or in cells whose content a shift of the rows by `shift` (the
+    FFT's, which is periodic) carried across the window's seam.
+    """
+    w = np.abs(prof) ** 2
+    total = float(w.sum())
+    source = grid.y - np.reshape(shift, (-1, 1))
+    crossed = (source < grid.y_min) | (source >= grid.y_max)
+    if edge_fraction(w, total) + w.sum(where=crossed) / total > TRUNCATION_THRESHOLD:
+        raise TruncationError(
+            f"probability reached the y boundary in {where}; widen the window or slow the drive"
+        )
+    return total
 
 
 def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
-    """Integrate the TDSE over the protocol in steps that are exact for any drive.
+    """Evolve psi0 over the whole drive at once, exactly for any drive.
 
-    Only mode rows carrying probability are propagated (modes are exactly
-    decoupled, so empty rows stay empty); the result is identical to
-    propagating the full stack.  Each step is the product of
-    _step_coefficients, with its potential factor written as the
-    complete square
+    Per row, in x = y - b0 (see _drive_integrals), the interaction picture
+    of the static well H0 sees the linear force f(t) (x cos omega t +
+    p sin omega t / m omega), whose commutators are numbers, so the Magnus
+    series stops at second order and
 
-        exp(-i m omega^2 sigma (x - A / m omega^2 sigma)^2 / 2 hbar
-            + i (Phi + A^2 / 2 hbar m omega^2 sigma)),
+        U(T) = e^{i (dp x - dy p) / hbar} U0(T) e^{i (-G + D / 2 m omega) / hbar},
 
-    and the translations e^{i beta k_y} of a natural step (see _time_grid)
-    are applied together at its start, which moves each of its wells by
-    -S, S the sum of beta over the steps after it.  The drive is sampled
-    once per interval between breakpoints.
+    with the classical end offset dy = (A sin omega T - S cos omega T) / m omega
+    and dp = A cos omega T + S sin omega T.  U0(2 pi / omega) = -1, so
+    U0(T) is (-1)^K times at most four exact pieces of the remainder, each
+    V K V: the potential half factors exp(-i m omega^2 tau x^2 / 2 hbar)
+    around the free factor exp(-i p^2 sigma / 2 m hbar), tau =
+    tan(omega h / 2) / omega and sigma = sin(omega h) / omega, which rotate
+    the state through phase space without widening it.  The Weyl factor is
+    a shift by dy (FFT) then the kick e^{i dp x / hbar}, with the phase
+    -dp dy / 2 hbar.
 
-    Each interval is stepped in blocks of consecutive steps, at most
-    BLOCK_VALUES complex values of (step, row, y) at a time.  A block
-    builds the potential factors of all its steps, and the kinetic and
-    translation factors of the natural steps that start in it, with one
-    exp each, so its loop over steps is only FFTs and multiplies.  The end
-    state of each natural step is kept in k space, and the block's ends
-    are checked together with one stacked inverse FFT: the norm is
-    sampled for norm_drift, and TruncationError names the first check at
-    which probability has reached the y boundary.  Every value is
-    computed as a step at a time would compute it, so the result does not
-    depend on the block size.
+    The rotation comes first, so the grid only ever holds rotations of
+    psi0 and psi(T): each is checked for probability at the y boundary,
+    or carried across it by the shift, and TruncationError names the
+    offender.  Where the drive carries the state between those states
+    the cylinder's axis is infinite, so leaving the window there is no
+    error.  Only the occupied mode rows are propagated (modes are exactly
+    decoupled, so empty rows stay empty).
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -275,84 +286,44 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     occ = stack.occupied_rows(OCCUPATION_THRESHOLD)
     if occ.size == 0:
         raise ValueError("initial state is empty")
-    modes = grid.mode_numbers[occ]
-    omega, hbar = cfg.omega, cfg.hbar
-    y, ky = grid.y[None, :], grid.ky
+    omega, m, hbar, T = cfg.omega, cfg.m, cfg.hbar, protocol.T
+    pieces = _time_grid(protocol)
+    b0, A, S, G, D = _drive_integrals(protocol, pieces, grid.mode_numbers[occ], stack.mode_offset)
+    x = grid.y - b0[:, None]
 
-    norms = [np.sqrt(float((np.abs(stack.profiles) ** 2).sum() * grid.dy))]
-    F = np.fft.fft(stack.profiles[occ], axis=1)
-    psi_y = np.empty_like(F)
-    block = max(1, BLOCK_VALUES // F.size)  # steps per block
-    ends = np.empty((block,) + F.shape, dtype=complex)
-    # the state a natural step starts from: the last one's end, in ends
-    state = F
-    n_steps = 0
-    for t0, h, n, k in _time_grid(protocol):
-        width = h / k
-        b0, A, beta, phase = _step_coefficients(
-            protocol, modes, stack.mode_offset, t0 + width * np.arange(n * k), width
-        )
-        # per step, as (step, row, 1) arrays: the complete square's centre
-        # and constant, with the well moved by the natural step's later
-        # translations; per natural step, its total translation
-        well_stiffness = cfg.m * omega * np.sin(omega * width)  # m omega^2 sigma
-        moves = beta.reshape(-1, n, k)
-        later = np.cumsum(moves[..., ::-1], axis=2)[..., ::-1] - moves
-        shift = (later[..., 0] + moves[..., 0]).T[:, :, None]
-        centre = (b0 + A / well_stiffness - later.reshape(-1, n * k)).T[:, :, None]
-        const_phase = 1j * (phase + A * A / (2.0 * hbar * well_stiffness)).T[:, :, None]
-        well_phase = -0.5j * well_stiffness / hbar
-        kinetic = (-0.5j * hbar * np.tan(0.5 * omega * width) / (omega * cfg.m)) * ky**2
-        kin_half = np.exp(kinetic)
-        kin_pair = kin_half * kin_half
-        for s0 in range(0, n * k, block):
-            s1 = min(s0 + block, n * k)
-            # built in place: fewer temporaries, lower peak memory
-            d = y - centre[s0:s1]
-            d *= d
-            potentials = well_phase * d
-            potentials += const_phase[s0:s1]
-            np.exp(potentials, out=potentials)
-            first = -(-s0 // k)  # the first natural step that starts in the block
-            kicks = 1j * ky * shift[first:-(-s1 // k)]
-            kicks += kinetic
-            np.exp(kicks, out=kicks)
-            n_ends = 0
-            for s in range(s0, s1):
-                if s % k == 0:
-                    np.multiply(state, kicks[s // k - first], out=F)
-                np.fft.ifft(F, axis=1, out=psi_y)
-                psi_y *= potentials[s - s0]
-                np.fft.fft(psi_y, axis=1, out=F)
-                if (s + 1) % k:
-                    F *= kin_pair
-                else:
-                    state = np.multiply(F, kin_half, out=ends[n_ends])
-                    n_ends += 1
-            if n_ends == 0:
-                continue
-            prof = np.fft.ifft(ends[:n_ends], axis=-1)
-            w = np.abs(prof)
-            w *= w
-            total = w.sum(axis=(1, 2))
-            norms.extend(np.sqrt(total * grid.dy))
-            over = np.flatnonzero(edge_fraction(w, total) > TRUNCATION_THRESHOLD)
-            if over.size:
-                seg = s0 // k + over[0]  # the offending natural step
-                raise TruncationError(
-                    f"probability reached the y boundary at t = {t0 + (seg + 1) * h:.3f}; "
-                    "widen the window or slow the drive"
-                )
-        n_steps += n * k
+    prof = stack.profiles[occ]
+    period = 2.0 * np.pi / omega
+    turns = np.floor(T / period)
+    rest = T - turns * period
+    n_rot = int(np.ceil(omega * rest / MAX_PIECE_ANGLE))
+    if n_rot:
+        h = rest / n_rot
+        half_well = np.exp((-0.5j * m * omega * np.tan(0.5 * omega * h) / hbar) * x * x)
+        free = np.exp((-0.5j * hbar * np.sin(omega * h) / (m * omega)) * grid.ky**2)
+        prof = prof * half_well
+        for i in range(1, n_rot + 1):
+            prof = np.fft.ifft(np.fft.fft(prof, axis=1) * free, axis=1)
+            # the closing half factor is a phase: it leaves the density checked here
+            _check_window(prof, grid, f"psi0 rotated by the static well to t = "
+                          f"{turns * period + i * h:.3f}")
+            prof *= half_well if i == n_rot else half_well * half_well
+
+    cos_T, sin_T = np.cos(omega * T), np.sin(omega * T)
+    shift = (A * sin_T - S * cos_T) / (m * omega)
+    kick = A * cos_T + S * sin_T
+    phase = (-G + D / (2.0 * m * omega) - 0.5 * kick * shift) / hbar + np.pi * (turns % 2)
+    moved = np.fft.fft(prof, axis=1) * np.exp(-1j * grid.ky * shift[:, None])
+    prof = np.fft.ifft(moved, axis=1) * np.exp(1j * (kick[:, None] * x / hbar + phase[:, None]))
+    total = _check_window(prof, grid, f"psi(T) at t = {T:.3f}", shift)
 
     full = np.zeros((grid.Nx, grid.Ny), dtype=complex)
-    full[occ] = prof[-1]
+    full[occ] = prof
     final = Wavefunction.from_modes(ModeStack(grid, full, stack.mode_offset))
-    norms = np.array(norms)
+    norm0 = np.sqrt(float((np.abs(stack.profiles) ** 2).sum() * grid.dy))
     return EvolutionRecord(
         final_state=final,
-        n_steps=n_steps,
-        norm_drift=float(np.max(np.abs(norms - norms[0]))),
+        n_steps=sum(n for *_, n in pieces),
+        norm_drift=abs(float(np.sqrt(total * grid.dy)) - norm0),
     )
 
 

@@ -260,7 +260,7 @@ def test_sweep_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment, error", [
     ({"T": 5.0, "min_fidelity": 0.9999}, "NonCyclicEvolutionError"),
-    ({"kind": "general_loop", "height": 11.0}, "TruncationError"),
+    ({"kind": "general_loop", "height": 11.0, "T": 5.0}, "TruncationError"),
 ], ids=["noncyclic", "truncation"])
 def test_run_physics_failure_exits_1(tmp_path, capsys, experiment, error):
     cfgfile = write_config(tmp_path, {"experiment": experiment})

@@ -86,6 +86,10 @@ def test_grid_requires_power_of_two(cfg):
         CylinderGrid.for_config(cfg, Ny=100)
     with pytest.raises(ConfigError):
         CylinderGrid.for_config(cfg, Nx=4)
+    # a float is no grid size, even one equal to a power of two
+    for sizes in (dict(Nx=8.0, Ny=8), dict(Nx=8, Ny=64.0)):
+        with pytest.raises(ConfigError, match="power of two"):
+            CylinderGrid(**sizes, y_min=-1.0, y_max=1.0, l=1.0)
 
 
 def test_grid_rejects_non_finite_geometry():
