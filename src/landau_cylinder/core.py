@@ -80,20 +80,32 @@ def wrap_angle(angle: float) -> float:
     return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
 
 
-def edge_fraction(density: np.ndarray, total: np.ndarray | None = None) -> float | np.ndarray:
-    """Fraction of a (row, y) density within BOUNDARY_CELLS of the y edges.
+def edge_fraction(density: np.ndarray) -> float:
+    """Fraction of a (row, y) density within BOUNDARY_CELLS of the y edges (0 if empty)."""
+    total = density.sum()
+    edge = density[:, :BOUNDARY_CELLS].sum() + density[:, -BOUNDARY_CELLS:].sum()
+    return float(edge / total) if total > 0.0 else 0.0
 
-    Leading axes stack densities, and the result has their shape (a float
-    for one density).  total, the density summed over its last two axes,
-    may be passed by a caller that has it already.
+
+def check_window(prof: np.ndarray, grid: CylinderGrid, where: str, shift=0.0) -> float:
+    """Total probability of the (row, y) profiles prof, in grid units.
+
+    The one window rule, for every y shift and every built state: the cells
+    within BOUNDARY_CELLS of the y edges, plus the cells whose content a
+    periodic shift of the rows by `shift` (a scalar, or one per row)
+    carried across the window's seam, may hold at most TRUNCATION_THRESHOLD
+    of the probability.  Otherwise, or if prof holds no probability (or
+    NaN), raises TruncationError naming `where`.
     """
-    axes = (-2, -1)
-    edge = (density[..., :BOUNDARY_CELLS].sum(axis=axes)
-            + density[..., -BOUNDARY_CELLS:].sum(axis=axes))
-    if total is None:
-        total = density.sum(axis=axes)
-    frac = np.divide(edge, total, out=np.zeros(np.shape(total)), where=total > 0.0)
-    return frac if frac.ndim else float(frac)
+    w = np.abs(prof) ** 2
+    if np.ndim(shift) == 0:  # one shift for every row: judge the y marginal, which costs less
+        w = w.sum(axis=0, keepdims=True)
+    total = float(w.sum())
+    source = grid.y - np.reshape(shift, (-1, 1))
+    crossed = (source < grid.y_min) | (source >= grid.y_max)
+    if not total > 0.0 or edge_fraction(w) + w.sum(where=crossed) / total > TRUNCATION_THRESHOLD:
+        raise TruncationError(f"probability reached the y boundary in {where}; widen the y window")
+    return total
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,7 @@ class CylinderGrid:
 
     Nx and Ny must be powers of two (everything downstream is FFT based).
     The y window must be wide enough that states of interest keep their
-    probability mass away from the edges; see Wavefunction.boundary_mass.
+    probability away from its edges and its seam; see check_window.
     """
 
     Nx: int
@@ -330,14 +342,6 @@ class Wavefunction:
     def boundary_mass(self) -> float:
         """Fraction of probability within BOUNDARY_CELLS grid cells of the y edges."""
         return edge_fraction(self.probability_density())
-
-    def check_truncation(self) -> None:
-        mass = self.boundary_mass()
-        if mass > TRUNCATION_THRESHOLD:
-            raise TruncationError(
-                f"boundary probability mass {mass:.3e} exceeds {TRUNCATION_THRESHOLD:.1e}; "
-                "widen the y window or shorten the drive"
-            )
 
     def expectation_y(self) -> float:
         rho = self.probability_density()

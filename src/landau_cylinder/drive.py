@@ -14,17 +14,20 @@ drift action all have closed forms.  Sampling evaluates only the segments
 that act on the asked times: a segment that has not started contributes an
 exact zero, and one that has ended contributes its cached final progress,
 which are the bits the full formulas give there, so every output is
-bit-identical to summing all segments; that halves evolve_tdse's drive
-sampling (six oracle-benchmark drives at dt = 5e-4, 2-core host:
-0.07-0.09 s against 0.15-0.18 s).  _flux_and_ey samples flux and E_y at
-one time in float arithmetic by the same formulas, for evolve_oracle's
-right-hand side, which calls it thousands of times per drive;
-tests/test_drive.py holds it to 2 ulp of the array formulas on random
-drives.  Between consecutive breakpoints() (segment starts and ramp ends)
-every field is smooth, so evolve_tdse and evolve_oracle never step across
-one.  A protocol holds no time grid: its optional dt only caps the width of
-evolve_tdse's quadrature pieces, which are exact to rounding without it, so
-no experiment sets it.
+bit-identical to summing all segments.  evolve_tdse samples the drive once
+per interval between breakpoints, all in one segment, so this cuts its
+flux and efield time (six oracle-benchmark drives at seed 77, 2-core host:
+8 ms against 16 ms with every segment summed, 35-43 ms against 83-110 ms
+at dt = 5e-4; a fig1 loop at T = 32 000: 21 ms against 82 ms).
+_flux_and_ey samples flux and E_y at one time in float arithmetic by the
+same formulas, for evolve_oracle's right-hand side, which calls it about
+a thousand times per drive; tests/test_drive.py holds it to 2 ulp of the
+array formulas on random drives.  Between consecutive breakpoints()
+(segment starts and ramp ends) every field is smooth, so no quadrature
+piece of evolve_tdse and no ODE solve of evolve_oracle spans one.  A
+protocol holds no time grid: its optional dt only caps the width of
+evolve_tdse's quadrature pieces, which are exact to rounding without it,
+so no experiment sets it.
 
 The drift kinetic action
 

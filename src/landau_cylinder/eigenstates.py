@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, CylinderGrid, ModeStack, PhysicsConfig, Wavefunction
+from .core import (ConfigError, CylinderGrid, ModeStack, PhysicsConfig, TruncationError,
+                   Wavefunction, check_window)
 
 __all__ = [
     "hermite_profile",
@@ -75,15 +76,6 @@ def landau_energy(cfg: PhysicsConfig, n: int) -> float:
     return cfg.hbar * cfg.omega * (n + 0.5)
 
 
-def _check_support(grid: CylinderGrid, center: float, n: int, l_B: float) -> None:
-    margin = (n + 4) * l_B
-    if center - margin < grid.y_min or center + margin > grid.y_max:
-        raise ConfigError(
-            f"state support [{center - margin:.2f}, {center + margin:.2f}] too close "
-            f"to the y window [{grid.y_min}, {grid.y_max}]"
-        )
-
-
 def landau_eigenstate(
     cfg: PhysicsConfig,
     grid: CylinderGrid,
@@ -102,10 +94,21 @@ def displaced_gaussian(
     momentum: float = 0.0,
     n: int = 0,
 ) -> Wavefunction:
-    """Displaced level-n eigenstate (a coherent state for n = 0) in mode j."""
-    _check_support(grid, center, n, cfg.magnetic_length)
+    """Displaced level-n eigenstate (a coherent state for n = 0) in mode j.
+
+    The profile must pass the window rule every y shift obeys
+    (core.check_window): one whose edge cells hold too much probability,
+    or that is zero or not finite, raises ConfigError.
+    """
+    row = grid.mode_row(j)
     profiles = np.zeros((grid.Nx, grid.Ny), dtype=complex)
-    profiles[grid.mode_row(j)] = hermite_profile(cfg, grid.y, center, n) * np.exp(
-        1j * momentum * (grid.y - center) / cfg.hbar
-    )
+    # a centre far off the window or not finite gives zeros or NaNs, which the rule refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        profiles[row] = hermite_profile(cfg, grid.y, center, n) * np.exp(
+            1j * momentum * (grid.y - center) / cfg.hbar
+        )
+    try:
+        check_window(profiles[row:row + 1], grid, f"level {n} of mode {j} at y = {center:g}")
+    except TruncationError as exc:
+        raise ConfigError(str(exc)) from None
     return Wavefunction.from_modes(ModeStack(grid, profiles)).normalized()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PhysicsConfig, Wavefunction
+from .core import ConfigError, PhysicsConfig, Wavefunction, check_window
 
 __all__ = [
     "Displacement",
@@ -154,8 +154,11 @@ def translate_y(psi: Wavefunction, ry: float, cfg: PhysicsConfig) -> Wavefunctio
     Spectral y shift of every mode profile followed by the gauge phase
     exp(-i q B ry x / hbar c).  The phase is quantized (offset preserving)
     iff B l ry is an integer number of flux quanta; then the mode index
-    ladder shifts by that integer.  The shifted state must stay inside the
-    y window: probability at its edges raises TruncationError.
+    ladder shifts by that integer.  The axis is infinite but the window is
+    not, and the grid's shift is periodic: probability that the shift
+    carries across the window's seam, or leaves at its edge cells, raises
+    TruncationError (core.check_window), instead of a state wrapped to the
+    other end of the window.
     """
     grid = psi.grid
     cells = ry / grid.dy
@@ -164,10 +167,9 @@ def translate_y(psi: Wavefunction, ry: float, cfg: PhysicsConfig) -> Wavefunctio
         u = np.roll(psi.amplitudes, nearest, axis=1)
     else:
         u = np.fft.ifft(np.fft.fft(psi.amplitudes, axis=1) * np.exp(-1j * grid.ky * ry)[None, :], axis=1)
+    check_window(u, grid, f"the state translated by ry = {ry:g}", ry)
     shifted = psi.with_amplitudes(u)
-    out = shifted.multiply_phase_linear_x(-cfg.q * cfg.B * ry / (cfg.hbar * cfg.c))
-    out.check_truncation()
-    return out
+    return shifted.multiply_phase_linear_x(-cfg.q * cfg.B * ry / (cfg.hbar * cfg.c))
 
 
 def compose_phase(r1: Displacement, r2: Displacement, cfg: PhysicsConfig) -> float:
@@ -228,8 +230,10 @@ def sequential_translation(
     phases and all); the returned float is the phase predicted by summing
     the pairwise composition identity along the way.  Consistency demands
     state = exp(i phase) M(net) psi with phase = -(q / hbar c) B S.
-    Every intermediate state is checked for truncation, since a vertex may
-    pass closer to the window edge than the endpoints.
+    Every segment's y shift is judged by translate_y's window rule, so a
+    vertex that leaves the window, or a segment that carries the state
+    across its seam, raises TruncationError even when the endpoints and
+    the net translation fit.
     """
     state = psi
     reached = Displacement(0.0, 0.0)

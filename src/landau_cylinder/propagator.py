@@ -54,15 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    TRUNCATION_THRESHOLD,
-    ModeStack,
-    PhysicsConfig,
-    TruncationError,
-    Wavefunction,
-    edge_fraction,
-    inner_product,
-)
+from .core import ModeStack, PhysicsConfig, Wavefunction, check_window, inner_product
 from .drive import DriveProtocol
 from .eigenstates import hermite_profile, mode_well
 
@@ -232,24 +224,6 @@ def _drive_integrals(
     return b0, A, S, G, D
 
 
-def _check_window(prof: np.ndarray, grid, where: str, shift=0.0) -> float:
-    """Total probability of the (row, y) profiles prof, in grid units.
-
-    Raises TruncationError if probability sits within BOUNDARY_CELLS of the
-    y edges, or in cells whose content a shift of the rows by `shift` (the
-    FFT's, which is periodic) carried across the window's seam.
-    """
-    w = np.abs(prof) ** 2
-    total = float(w.sum())
-    source = grid.y - np.reshape(shift, (-1, 1))
-    crossed = (source < grid.y_min) | (source >= grid.y_max)
-    if edge_fraction(w, total) + w.sum(where=crossed) / total > TRUNCATION_THRESHOLD:
-        raise TruncationError(
-            f"probability reached the y boundary in {where}; widen the window or slow the drive"
-        )
-    return total
-
-
 def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     """Evolve psi0 over the whole drive at once, exactly for any drive.
 
@@ -272,11 +246,12 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
 
     The rotation comes first, so the grid only ever holds rotations of
     psi0 and psi(T): each is checked for probability at the y boundary,
-    or carried across it by the shift, and TruncationError names the
-    offender.  Where the drive carries the state between those states
-    the cylinder's axis is infinite, so leaving the window there is no
-    error.  Only the occupied mode rows are propagated (modes are exactly
-    decoupled, so empty rows stay empty).
+    or carried across it by the shift (core.check_window, the rule every
+    y shift obeys), and TruncationError names the offender.  Where the
+    drive carries the state between those states the cylinder's axis is
+    infinite, so leaving the window there is no error.  Only the occupied
+    mode rows are propagated (modes are exactly decoupled, so empty rows
+    stay empty).
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -304,8 +279,8 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
         for i in range(1, n_rot + 1):
             prof = np.fft.ifft(np.fft.fft(prof, axis=1) * free, axis=1)
             # the closing half factor is a phase: it leaves the density checked here
-            _check_window(prof, grid, f"psi0 rotated by the static well to t = "
-                          f"{turns * period + i * h:.3f}")
+            check_window(prof, grid, f"psi0 rotated by the static well to t = "
+                         f"{turns * period + i * h:.3f}")
             prof *= half_well if i == n_rot else half_well * half_well
 
     cos_T, sin_T = np.cos(omega * T), np.sin(omega * T)
@@ -314,7 +289,7 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     phase = (-G + D / (2.0 * m * omega) - 0.5 * kick * shift) / hbar + np.pi * (turns % 2)
     moved = np.fft.fft(prof, axis=1) * np.exp(-1j * grid.ky * shift[:, None])
     prof = np.fft.ifft(moved, axis=1) * np.exp(1j * (kick[:, None] * x / hbar + phase[:, None]))
-    total = _check_window(prof, grid, f"psi(T) at t = {T:.3f}", shift)
+    total = check_window(prof, grid, f"psi(T) at t = {T:.3f}", shift)
 
     full = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     full[occ] = prof

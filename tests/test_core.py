@@ -11,9 +11,9 @@ from landau_cylinder import (
     GridMismatchError,
     ModeOffsetMismatchError,
     PhysicsConfig,
-    TruncationError,
     Wavefunction,
     displaced_gaussian,
+    hermite_profile,
     inner_product,
     landau_eigenstate,
     wrap_angle,
@@ -207,8 +207,8 @@ def test_boundary_mass_small_for_centered_state(cfg, grid):
     density[0, 0] = density[1, -1] = 1.0
     density[:, grid.Ny // 2] = 4.0
     assert edge_fraction(density) == 0.2
-    # a stack gives one fraction per density, and an empty one gives 0
-    np.testing.assert_array_equal(edge_fraction(np.stack([density, 0 * density])), [0.2, 0.0])
+    # an empty density gives 0
+    assert edge_fraction(0 * density) == 0.0
 
 
 def test_truncation_sees_four_edge_cells(cfg, grid):
@@ -222,15 +222,17 @@ def test_truncation_sees_four_edge_cells(cfg, grid):
         top = grid.y_max - 0.5 * grid.dy
         return above(top - cells * grid.dy) - above(top)
 
-    # at 7.5 the four cells hold 5.3e-10, but the outermost only 6.5e-11
-    psi = displaced_gaussian(cfg, grid, 0, 7.5)
+    # at 7.5 the four cells hold 5.3e-10, but the outermost only 6.5e-11, so
+    # the state is refused at construction
+    density = np.abs(hermite_profile(cfg, grid.y, 7.5, 0)[None, :]) ** 2
     assert tail_mass(7.5, 1) < TRUNCATION_THRESHOLD < tail_mass(7.5, 4)
-    assert psi.boundary_mass() == pytest.approx(tail_mass(7.5, 4), rel=0.02)
-    with pytest.raises(TruncationError):
-        psi.check_truncation()
-    # at 7.0 the four cells hold 5.3e-12
+    assert edge_fraction(density) == pytest.approx(tail_mass(7.5, 4), rel=0.02)
+    with pytest.raises(ConfigError, match="y boundary"):
+        displaced_gaussian(cfg, grid, 0, 7.5)
+    # at 7.0 the four cells hold 5.3e-12, and the state is admitted
     assert tail_mass(7.0, 4) < TRUNCATION_THRESHOLD
-    displaced_gaussian(cfg, grid, 0, 7.0).check_truncation()
+    psi = displaced_gaussian(cfg, grid, 0, 7.0)
+    assert psi.boundary_mass() == pytest.approx(tail_mass(7.0, 4), rel=0.02)
 
 
 def test_expectation_y(cfg, grid):

@@ -16,6 +16,7 @@ from landau_cylinder import (
     landau_energy,
     mode_center,
 )
+from landau_cylinder.core import TRUNCATION_THRESHOLD, edge_fraction
 
 
 # --- guiding centers --------------------------------------------------
@@ -109,6 +110,33 @@ def test_eigenstate_rejects_state_outside_window(cfg):
     tight = CylinderGrid.for_config(cfg, Ny=64, y_min=-2.0, y_max=2.0)
     with pytest.raises(ConfigError):
         landau_eigenstate(cfg, tight, 0, -4)  # center 4.25 is off the grid
+
+
+def test_admission_is_the_window_rule(grid):
+    # landau_eigenstate admits (n, j) iff the edge cells of its profile hold
+    # at most TRUNCATION_THRESHOLD of its probability; at phi0 = pi/2 row j
+    # is centred at 0.25 - j
+    cfg = PhysicsConfig.reference(phi0=np.pi / 2)
+    admitted = set()
+    for n in range(4):
+        for j in range(-grid.Nx // 2, grid.Nx // 2):
+            prof = hermite_profile(cfg, grid.y, mode_center(cfg, j), n)
+            fits = edge_fraction(np.abs(prof[None, :]) ** 2) <= TRUNCATION_THRESHOLD
+            try:
+                landau_eigenstate(cfg, grid, n, j)
+            except ConfigError:
+                assert not fits, (n, j)
+            else:
+                assert fits, (n, j)
+                admitted.add((n, j))
+    # a margin of (n + 4) magnetic lengths admitted (0, 8), whose edge cells
+    # hold 3.0e-9, and refused these four, whose edge cells hold 7.8e-11 at most
+    assert (0, 8) not in admitted
+    assert {(2, -6), (3, -6), (3, -5), (3, 6)} <= admitted
+    # a profile that underflows to zero, or is not finite, is refused, not normalized
+    for center, n in ((1e3, 0), (1e200, 0), (np.inf, 1), (np.nan, 0)):
+        with pytest.raises(ConfigError, match="y boundary"):
+            displaced_gaussian(cfg, grid, 0, center, n=n)
 
 
 def test_spectral_flow_identity(cfg, grid):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from landau_cylinder import (
     Displacement,
     PathPolyline,
+    PhysicsConfig,
     TruncationError,
     ab_loop_spec,
     apply_displacement,
@@ -143,6 +144,29 @@ def test_translate_y_truncation_guard(cfg, grid):
     psi = landau_eigenstate(cfg, grid, 0, 0)
     with pytest.raises(TruncationError):
         translate_y(psi, 11.0, cfg)
+
+
+def test_translate_y_refuses_a_shift_across_the_seam(grid):
+    # at phi0 = pi/2 the (0, 0) state sits at 0.25; a shift by +-20 carries
+    # it past the window's end, and the grid's periodic shift would wrap it
+    # whole to -3.75 or 4.25, clear of the edge cells
+    cfg = PhysicsConfig.reference(phi0=np.pi / 2)
+    psi = landau_eigenstate(cfg, grid, 0, 0)
+    for ry in (20.0, -20.0):
+        with pytest.raises(TruncationError, match=f"translated by ry = {ry:g};"):
+            translate_y(psi, ry, cfg)
+        with pytest.raises(TruncationError):
+            apply_displacement(psi, Displacement(1.0, ry), cfg)
+
+
+def test_paths_refuse_a_shift_across_the_seam(grid):
+    cfg = PhysicsConfig.reference(phi0=np.pi / 2)
+    psi = landau_eigenstate(cfg, grid, 0, 0)
+    # the path returns to the origin, but its vertex (0, 20) is past the seam
+    with pytest.raises(TruncationError):
+        sequential_translation(psi, PathPolyline(((0.0, 0.0), (0.0, 20.0), (0.0, 0.0))), cfg)
+    with pytest.raises(TruncationError):
+        path_ordered_translation(psi, PathPolyline(((0.0, 0.0), (1.0, 20.0))), cfg)
 
 
 def test_sequential_translation_checks_every_vertex(cfg, grid):

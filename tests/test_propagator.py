@@ -281,7 +281,7 @@ def test_shift_across_the_seam_raises(grid):
 
 def test_hold_scan_exact_on_every_admitted_row(grid):
     # driveless holds at T = 500 (rotation pieces of omega h ~ pi/2) from
-    # every (n, j) the support check admits, at phi0 = pi/2, where row j is
+    # every (n, j) landau_eigenstate admits, at phi0 = pi/2, where row j is
     # centred at 0.25 - j; each state comes back as e^{-i E_n T / hbar}
     # times itself, up to its own amplitude at the window's seam
     cfg = PhysicsConfig.reference(phi0=np.pi / 2)
@@ -294,12 +294,8 @@ def test_hold_scan_exact_on_every_admitted_row(grid):
                 psi0 = landau_eigenstate(cfg, grid, n, j)
             except ConfigError:
                 continue
-            if psi0.boundary_mass() > TRUNCATION_THRESHOLD:
-                # admitted, yet already over the boundary gate: (0, 8) only
-                assert (n, j) == (0, 8)
-                with pytest.raises(TruncationError):
-                    evolve_tdse(psi0, proto)
-                continue
+            # construction applies the window rule, so no admitted state is over the gate
+            assert psi0.boundary_mass() <= TRUNCATION_THRESHOLD, (n, j)
             chi = psi0.to_modes().profiles[grid.mode_row(j)]
             chi = chi / np.sqrt(np.sum(np.abs(chi) ** 2) * grid.dy)
             seam = max(abs(chi[0]), abs(chi[-1]))
@@ -308,7 +304,7 @@ def test_hold_scan_exact_on_every_admitted_row(grid):
             err = Wavefunction(grid, final.amplitudes - want, 0.0).norm()
             assert err <= seam + 1e-12, (n, j, err, seam)
             held += 1
-    assert held == 15 + 12
+    assert held == 15 + 13
 
 
 def test_tdse_matches_oracle_adiabatic(cfg, grid):
