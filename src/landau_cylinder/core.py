@@ -87,21 +87,19 @@ def edge_fraction(density: np.ndarray) -> float:
     return float(edge / total) if total > 0.0 else 0.0
 
 
-def check_window(prof: np.ndarray, grid: CylinderGrid, where: str, shift=0.0) -> float:
+def check_window(prof: np.ndarray, grid: CylinderGrid, where: str, shift: float = 0.0) -> float:
     """Total probability of the (row, y) profiles prof, in grid units.
 
-    The one window rule, for every y shift and every built state: the cells
-    within BOUNDARY_CELLS of the y edges, plus the cells whose content a
-    periodic shift of the rows by `shift` (a scalar, or one per row)
-    carried across the window's seam, may hold at most TRUNCATION_THRESHOLD
-    of the probability.  Otherwise, or if prof holds no probability (or
-    NaN), raises TruncationError naming `where`.
+    The one window rule, for every y shift and every built state: in the y
+    marginal of prof, the BOUNDARY_CELLS cells at each y edge and the cells
+    that a periodic shift of every row by `shift` carried across the
+    window's seam may hold at most TRUNCATION_THRESHOLD of the probability.
+    Otherwise, or if prof holds no probability (or NaN), raises
+    TruncationError naming `where`.
     """
-    w = np.abs(prof) ** 2
-    if np.ndim(shift) == 0:  # one shift for every row: judge the y marginal, which costs less
-        w = w.sum(axis=0, keepdims=True)
+    w = (np.abs(prof) ** 2).sum(axis=0, keepdims=True)
     total = float(w.sum())
-    source = grid.y - np.reshape(shift, (-1, 1))
+    source = grid.y - shift
     crossed = (source < grid.y_min) | (source >= grid.y_max)
     if not total > 0.0 or edge_fraction(w) + w.sum(where=crossed) / total > TRUNCATION_THRESHOLD:
         raise TruncationError(f"probability reached the y boundary in {where}; widen the y window")

@@ -184,8 +184,6 @@ class DriveProtocol:
         if not 0.0 <= ramp_fraction <= 0.5:
             raise ConfigError(f"ramp_fraction must be in [0, 0.5] (got {ramp_fraction})")
         total = path.total_length
-        if total == 0.0:
-            raise ConfigError("path has zero length")
         segments = []
         t0 = 0.0
         for seg in path.segments:

@@ -79,7 +79,9 @@ class PathPolyline:
             raise ConfigError("a path needs at least two vertices")
         if self.vertices[0] != (0.0, 0.0):
             raise ConfigError(f"paths start at the origin (got {self.vertices[0]})")
-        for a, b in zip(self.vertices, self.vertices[1:]):
+        for i, (a, b) in enumerate(zip(self.vertices, self.vertices[1:]), start=1):
+            if not np.isfinite(b).all():
+                raise ConfigError(f"vertex {i} must be finite (got {b})")
             if a == b:
                 raise ConfigError(f"consecutive vertices coincide at {a}")
 

@@ -18,26 +18,24 @@ series stops at second order (Husimi, Prog. Theor. Phys. 9, 381 (1953);
 Blanes et al., Phys. Rep. 470, 151 (2009)).  evolve_tdse therefore
 propagates the whole drive at once, exactly for any drive: one free
 rotation by the static well, one Weyl displacement by the classical end
-offset, and one phase, all built from four force integrals that 10-node
-Gauss-Legendre quadrature evaluates to rounding on pieces of the smooth
-drive between two breakpoints (see _time_grid; a protocol's dt only caps
-their width).  The rotation is (-1)^K times at most four exact V K V
-pieces, so an experiment makes at most ten FFT calls whatever T.  Only
-the occupied mode rows are propagated, each factor is unitary, and
-probability at the y boundary, in the rotated initial state or in the
-final state, raises TruncationError.
+offset, and one phase, all built from force integrals that 10-node
+Gauss-Legendre quadrature evaluates to rounding, once per drive for every
+row, on pieces of the smooth drive between two breakpoints (see
+_time_grid; a protocol's dt only caps their width).  A row centred delta
+from the reference row gets -delta F in G, F = int q E_y dt.  On a loop
+that winds w times F = q B w l / c, so delta_j F = -2 pi hbar w (j + theta)
+and at theta = 0 every row reads the same phase.  The rotation is (-1)^K
+times at most four exact V K V pieces, so an experiment makes at most ten
+FFT calls whatever T.  Only the occupied mode rows are propagated, each
+factor is unitary, and probability at the y boundary, in the rotated
+initial state or in the final state, raises TruncationError.
 
 evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
 transported along the classical trajectory and dressed by the classical
-action, for any drive strength.  Substituting the ansatz into the TDSE
-fixes every term; no adiabatic assumption is involved.  Its classical ODE
-restarts at every DriveProtocol.breakpoints() time, where the sin^2 ramps
-make the force's second derivative jump, so each solve_ivp call sees a
-smooth force; its right-hand side samples the drive in float arithmetic
-(DriveProtocol._flux_and_ey) and takes no force integral from evolve_tdse.
-On criterion 7's 20 random drives its phase agrees with a rerun at
-rtol 3e-14 to 1e-13, and on its T = 500 rectangle loop to 2.1e-14.
+action, for any drive strength, so no adiabatic assumption is involved.
+Its classical ODE samples the drive in float arithmetic and takes no
+force integral from evolve_tdse.
 
 Both refuse a grid whose circumference is not the config's l.  The
 adiabatic factorization U = g M(C) D U_eps needs no propagator of its own:
@@ -56,7 +54,7 @@ import numpy as np
 
 from .core import ModeStack, PhysicsConfig, Wavefunction, check_window, inner_product
 from .drive import DriveProtocol
-from .eigenstates import hermite_profile, mode_well
+from .eigenstates import hermite_profile, mode_center, mode_well
 
 __all__ = [
     "apply_hamiltonian",
@@ -180,17 +178,18 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xi, w, q
 
 
-def _drive_integrals(
-    protocol: DriveProtocol, pieces: list, modes: np.ndarray, mode_offset: float
-) -> tuple[np.ndarray, ...]:
-    """(b0, A, S, G, D) of the whole drive, per row.
+def _drive_integrals(protocol: DriveProtocol, pieces: list) -> tuple[float, ...]:
+    """(b0, A, S, G, D, F) of the whole drive, once for every row.
 
-    In x = y - b0, with b0 the row's well centre at t = 0, the row sees the
-    static well m omega^2 x^2 / 2 plus -f(t) x + g(t), where
+    In x = y - b0, with b0 the well centre at t = 0 of the reference row
+    (mode 0 at offset 0), it sees m omega^2 x^2 / 2 - f(t) x + g(t), where
     f = m omega^2 (b(t) - b0) and g = f^2 / 2 m omega^2 + C, and over [0, T]
 
         A = int f cos(omega t),  S = int f sin(omega t),  G = int g,
-        D = int int_{t2 < t1} f(t1) f(t2) sin(omega (t1 - t2)).
+        D = int int_{t2 < t1} f(t1) f(t2) sin(omega (t1 - t2)),  F = int q E_y.
+
+    Every row sees the same f, and a row centred delta from the reference
+    has C lower by q E_y delta, so its G is G - delta F.
 
     Each piece of the time grid is integrated by GAUSS_NODES-point
     Gauss-Legendre, D's inner integral by the rule's interpolant (Q of
@@ -201,14 +200,13 @@ def _drive_integrals(
     omega = cfg.omega
     stiffness = cfg.m * omega**2
     xi, w, q = _gauss_legendre()
-    b0 = mode_well(cfg, modes, protocol.flux(0.0), protocol.efield(0.0)[1], mode_offset)[0]
-    A = S = G = D = np.zeros(modes.shape)
+    b0 = mode_well(cfg, 0, protocol.flux(0.0), protocol.efield(0.0)[1], 0.0)[0]
+    A = S = G = D = F = 0.0
     for t0, h, n in pieces:
         t = t0 + h * (np.arange(n)[:, None] + 0.5 * (xi + 1.0))
-        phi = np.asarray(protocol.flux(t), dtype=float)
-        ey = np.asarray(protocol.efield(t)[1], dtype=float)
-        b, c = mode_well(cfg, modes[:, None, None], phi, ey, mode_offset)
-        f = stiffness * (b - b0[:, None, None])
+        ey = protocol.efield(t)[1]
+        b, c = mode_well(cfg, 0, protocol.flux(t), ey, 0.0)
+        f = stiffness * (b - b0)
         fc, fs = f * np.cos(omega * t), f * np.sin(omega * t)
         # per piece; einsum, not @: these small sums would load BLAS and its buffers (peak memory)
         a = 0.5 * h * np.einsum("...k,k", fc, w)
@@ -217,22 +215,23 @@ def _drive_integrals(
         inner_c, inner_s = np.einsum("...l,kl", fc, q), np.einsum("...l,kl", fs, q)
         d = 0.25 * h * h * np.einsum("...k,k", fs * inner_c - fc * inner_s, w)
         # D's cross terms: each piece against everything before it
-        a_before = A[:, None] + np.cumsum(a, axis=1) - a
-        s_before = S[:, None] + np.cumsum(s, axis=1) - s
-        D = D + (d + s * a_before - a * s_before).sum(axis=1)
-        A, S, G = A + a.sum(axis=1), S + s.sum(axis=1), G + g.sum(axis=1)
-    return b0, A, S, G, D
+        a_before = A + np.cumsum(a) - a
+        s_before = S + np.cumsum(s) - s
+        D = D + (d + s * a_before - a * s_before).sum()
+        A, S, G = A + a.sum(), S + s.sum(), G + g.sum()
+        F = F + 0.5 * h * np.einsum("...k,k", cfg.q * ey, w).sum()
+    return b0, A, S, G, D, F
 
 
 def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     """Evolve psi0 over the whole drive at once, exactly for any drive.
 
-    Per row, in x = y - b0 (see _drive_integrals), the interaction picture
-    of the static well H0 sees the linear force f(t) (x cos omega t +
-    p sin omega t / m omega), whose commutators are numbers, so the Magnus
-    series stops at second order and
+    Per row, in x = y - b0 - delta (see _drive_integrals), the interaction
+    picture of the static well H0 sees the linear force f(t) (x cos omega t
+    + p sin omega t / m omega), whose commutators are numbers, so the
+    Magnus series stops at second order and
 
-        U(T) = e^{i (dp x - dy p) / hbar} U0(T) e^{i (-G + D / 2 m omega) / hbar},
+        U(T) = e^{i (dp x - dy p) / hbar} U0(T) e^{i (-G + delta F + D / 2 m omega) / hbar},
 
     with the classical end offset dy = (A sin omega T - S cos omega T) / m omega
     and dp = A cos omega T + S sin omega T.  U0(2 pi / omega) = -1, so
@@ -249,9 +248,7 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     or carried across it by the shift (core.check_window, the rule every
     y shift obeys), and TruncationError names the offender.  Where the
     drive carries the state between those states the cylinder's axis is
-    infinite, so leaving the window there is no error.  Only the occupied
-    mode rows are propagated (modes are exactly decoupled, so empty rows
-    stay empty).
+    infinite, so leaving the window there is no error.
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -263,8 +260,11 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
         raise ValueError("initial state is empty")
     omega, m, hbar, T = cfg.omega, cfg.m, cfg.hbar, protocol.T
     pieces = _time_grid(protocol)
-    b0, A, S, G, D = _drive_integrals(protocol, pieces, grid.mode_numbers[occ], stack.mode_offset)
-    x = grid.y - b0[:, None]
+    b0, A, S, G, D, F = _drive_integrals(protocol, pieces)
+    # each row's centre offset from the reference row (the flux terms cancel)
+    delta = mode_center(cfg, grid.mode_numbers[occ], 0.0, stack.mode_offset)
+    delta = delta - mode_center(cfg, 0, 0.0)
+    x = grid.y - (b0 + delta)[:, None]
 
     prof = stack.profiles[occ]
     period = 2.0 * np.pi / omega
@@ -286,9 +286,10 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     cos_T, sin_T = np.cos(omega * T), np.sin(omega * T)
     shift = (A * sin_T - S * cos_T) / (m * omega)
     kick = A * cos_T + S * sin_T
-    phase = (-G + D / (2.0 * m * omega) - 0.5 * kick * shift) / hbar + np.pi * (turns % 2)
-    moved = np.fft.fft(prof, axis=1) * np.exp(-1j * grid.ky * shift[:, None])
-    prof = np.fft.ifft(moved, axis=1) * np.exp(1j * (kick[:, None] * x / hbar + phase[:, None]))
+    phase = (delta * F - G + D / (2.0 * m * omega) - 0.5 * kick * shift) / hbar
+    phase = phase + np.pi * (turns % 2)
+    moved = np.fft.fft(prof, axis=1) * np.exp(-1j * grid.ky * shift)
+    prof = np.fft.ifft(moved, axis=1) * np.exp(1j * (kick * x / hbar + phase[:, None]))
     total = check_window(prof, grid, f"psi(T) at t = {T:.3f}", shift)
 
     full = np.zeros((grid.Nx, grid.Ny), dtype=complex)

@@ -19,7 +19,8 @@ from landau_cylinder.cli import (
 )
 from landau_cylinder.core import ConfigError
 from landau_cylinder.experiments import DEFAULT_FIDELITY_GATE
-from landau_cylinder.verify import CHECKS
+from landau_cylinder import verify
+from landau_cylinder.verify import CHECKS, Check
 
 
 QUICK = {
@@ -221,6 +222,22 @@ def test_invalid_json_config(tmp_path, capsys):
     assert main(["--config", str(p), "eigen"]) == 2
 
 
+def test_resolve_error_exits_2_before_making_out(tmp_path, capsys):
+    cfgfile = write_config(tmp_path, {"experiment": {"zeta": 1.0}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfgfile), "--out", str(out), "run"]) == 2
+    assert capsys.readouterr().err == "error: experiment.zeta: unknown key\n"
+    assert not out.exists()
+
+
+def test_grid_build_error_exits_2(tmp_path, capsys):
+    # the resolved config is well formed; CylinderGrid refuses it
+    grid = {**DEFAULT_CONFIG["grid"], "Nx": 48}
+    cfgfile = write_config(tmp_path, {"grid": grid})
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "out"), "run"]) == 2
+    assert capsys.readouterr().err == "error: grid: Nx must be a power of two >= 8 (got 48)\n"
+
+
 def test_eigen_output(tmp_path, capsys):
     cfgfile = write_config(tmp_path, QUICK)
     assert main(["--config", str(cfgfile), "--out", str(tmp_path), "eigen"]) == 0
@@ -339,6 +356,21 @@ def test_sweep_uses_winding(tmp_path, capsys):
     study = json.loads((tmp_path / "study.json").read_text())
     phi = study["config"]["physics"]["phi0"]
     assert all(r["result"]["enclosed_flux_total"] == pytest.approx(2 * phi) for r in study["rows"])
+
+
+def test_run_all_checks_reports_a_raising_row_as_failed(monkeypatch):
+    def broken(cfg, grid, rng):
+        raise RuntimeError("broken row")
+
+    def fine(cfg, grid, rng):
+        return True, "fine"
+
+    rows = (Check("broken", broken, full={}), Check("fine", fine, full={}))
+    monkeypatch.setattr(verify, "CHECKS", rows)
+    assert verify.run_all_checks(seed=0) == [
+        ("broken", False, "RuntimeError: broken row"),
+        ("fine", True, "fine"),
+    ]
 
 
 def test_verify_runs_every_quick_row(tmp_path, capsys):

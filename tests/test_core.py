@@ -48,6 +48,12 @@ def test_config_rejects_nonpositive_scales():
         PhysicsConfig(hbar=1, q=1, m=1, c=1, B=1.0, phi0=0.0, l=0.0)
 
 
+def test_config_rejects_non_finite_flux():
+    for phi0 in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="phi0 must be finite"):
+            PhysicsConfig(phi0=phi0)
+
+
 def test_config_allows_any_flux_sign():
     PhysicsConfig(hbar=1, q=1, m=1, c=1, B=1.0, phi0=-3.0, l=2 * np.pi)
 
@@ -99,6 +105,15 @@ def test_grid_rejects_non_finite_geometry():
             CylinderGrid(Nx=8, Ny=8, y_min=y_min, y_max=y_max, l=l)
 
 
+def test_grid_rejects_empty_window_and_non_positive_circumference():
+    for y_min, y_max in ((1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ConfigError, match="y_min must be below y_max"):
+            CylinderGrid(Nx=8, Ny=8, y_min=y_min, y_max=y_max, l=1.0)
+    for l in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="l must be positive"):
+            CylinderGrid(Nx=8, Ny=8, y_min=-1.0, y_max=1.0, l=l)
+
+
 def test_grid_axes(cfg):
     g = CylinderGrid.for_config(cfg, Nx=16, Ny=64, y_min=-4.0, y_max=4.0)
     assert g.x[0] == 0.0
@@ -126,6 +141,12 @@ def test_kappas_offset(cfg):
 
 
 # --- Wavefunction -----------------------------------------------------
+
+
+def test_wavefunction_rejects_wrong_shape(grid):
+    for shape in ((grid.Nx, grid.Ny + 1), (grid.Ny, grid.Nx), (grid.Nx * grid.Ny,)):
+        with pytest.raises(ConfigError, match="does not match grid"):
+            Wavefunction(grid, np.zeros(shape, dtype=complex))
 
 
 def test_mode_roundtrip(cfg, grid, rng):
@@ -165,6 +186,8 @@ def test_inner_product_grid_and_offset_guards(cfg, grid, make_state, rng):
 def test_normalized(make_state, rng):
     psi = make_state(rng) * 3.7
     assert psi.normalized().norm() == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(ValueError, match="cannot normalize the zero state"):
+        (psi * 0.0).normalized()
 
 
 def test_linear_x_phase_integer_shifts_modes(cfg, grid):

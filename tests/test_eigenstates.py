@@ -52,6 +52,11 @@ def test_oscillator_orthonormal(cfg, grid):
     np.testing.assert_allclose(gram, np.eye(6), atol=1e-12)
 
 
+def test_hermite_profile_rejects_negative_level(cfg, grid):
+    with pytest.raises(ConfigError, match="level index must be non-negative"):
+        hermite_profile(cfg, grid.y, 0.0, n=-1)
+
+
 def test_oscillator_matches_explicit_hermite(cfg, grid):
     # independent construction from scipy's physicists' Hermite polynomials
     from scipy.special import eval_hermite

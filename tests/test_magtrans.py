@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau_cylinder import (
+    ConfigError,
     Displacement,
     PathPolyline,
     PhysicsConfig,
@@ -46,6 +47,16 @@ def test_path_validation():
         PathPolyline(((1.0, 0.0), (2.0, 0.0)))  # must start at the origin
     with pytest.raises(ValueError):
         PathPolyline(((0.0, 0.0), (1.0, 1.0), (1.0, 1.0)))
+
+
+def test_path_rejects_non_finite_vertices():
+    # a non-finite vertex would make total_length and swept_area non-finite
+    for bad in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)):
+        with pytest.raises(ConfigError, match=r"vertex 2 must be finite"):
+            PathPolyline(((0.0, 0.0), (1.0, 0.5), bad, (0.0, 0.0)))
+    # two NaN vertices do not compare equal, so only the finite test sees them
+    with pytest.raises(ConfigError, match=r"vertex 1 must be finite"):
+        PathPolyline(((0.0, 0.0), (np.nan, 0.0), (np.nan, 0.0)))
 
 
 def test_swept_area_rectangle_frozen(cfg):

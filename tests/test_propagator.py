@@ -26,6 +26,7 @@ from landau_cylinder import (
     mode_center,
     mode_well,
     rectangle_loop_spec,
+    translate_y,
     wrap_angle,
 )
 from landau_cylinder import propagator
@@ -181,6 +182,9 @@ def stepper_case(cfg, grid, case):
     """(psi0, protocol) of a named evolve_tdse case."""
     cfg = replace(cfg, phi0=np.pi / 2)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
+    if case in ("two_rows", "open_offset_rows"):
+        amps = psi0.amplitudes + landau_eigenstate(cfg, grid, 1, 1).amplitudes
+        psi0 = Wavefunction(grid, amps, 0.0).normalized()
     if case == "winding":
         proto = ab_loop_spec(cfg, T=200.0).protocol(cfg)
     elif case == "hold":
@@ -189,14 +193,23 @@ def stepper_case(cfg, grid, case):
         proto = DriveProtocol(cfg=cfg, T=3.0, dt=0.002)
     elif case == "wiggle":
         proto = DriveProtocol.from_path(cfg, WIGGLE, T=4.0, dt=1e-3)
-    else:
-        amps = psi0.amplitudes + landau_eigenstate(cfg, grid, 1, 1).amplitudes
-        psi0 = Wavefunction(grid, amps, 0.0).normalized()
+    elif case == "two_rows":
         proto = rectangle_loop_spec(cfg, height=1.0, T=40.0).protocol(cfg)
+    else:
+        # a y translation by a non-quantized ry gives mode offset 0.7, and the
+        # open drive ends at R_x = 1.3, no multiple of l, so each row's -delta F
+        # term in G moves its phase; on two_rows' closed loop that term is
+        # -2 pi hbar w j and leaves the phase as it is
+        psi0 = translate_y(psi0, 0.3, cfg)
+        path = PathPolyline(((0.0, 0.0), (0.9, 0.5), (1.3, -0.2)))
+        proto = DriveProtocol.from_path(cfg, path, T=6.0)
     return psi0, proto
 
 
-@pytest.mark.parametrize("case", ["winding", "hold", "hold_long", "wiggle", "two_rows"])
+CASES = ["winding", "hold", "hold_long", "wiggle", "two_rows", "open_offset_rows"]
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_tdse_equals_reference_loop(cfg, grid, case):
     # evolve_tdse sums the force integrals of every piece into one rotation,
     # one displacement and one phase; the reference takes the pieces as
@@ -377,6 +390,12 @@ def test_hold_returns_every_row(cfg, grid):
     assert np.max(row_err) < 1e-12
     # a row left out of the propagation would show in the norm drift too
     assert rec.norm_drift <= 1e-12
+
+
+def test_tdse_rejects_empty_state(cfg, grid):
+    empty = Wavefunction(grid, np.zeros((grid.Nx, grid.Ny), dtype=complex))
+    with pytest.raises(ValueError, match="initial state is empty"):
+        evolve_tdse(empty, DriveProtocol(cfg=cfg, T=1.0))
 
 
 def test_oracle_rejects_multimode(cfg, grid):
