@@ -47,6 +47,9 @@ __all__ = [
 
 BOUNDARY_CELLS = 4
 TRUNCATION_THRESHOLD = 1e-10
+# mode rows holding at most this fraction of a state's probability are
+# neither propagated nor transformed back to y for a window check
+OCCUPATION_THRESHOLD = 1e-14
 
 # Linear-x phases whose slope is within this of a quantized value are
 # snapped onto it, so quantized translations return exactly theta = 0
@@ -87,23 +90,52 @@ def edge_fraction(density: np.ndarray) -> float:
     return float(edge / total) if total > 0.0 else 0.0
 
 
-def check_window(prof: np.ndarray, grid: CylinderGrid, where: str, shift: float = 0.0) -> float:
-    """Total probability of the (row, y) profiles prof, in grid units.
+def check_window(
+    prof: np.ndarray, grid: CylinderGrid, where: str, shift: float = 0.0, skipped: float = 0.0
+) -> float:
+    """Total probability of the (row, y) profiles prof plus `skipped`, in grid units.
 
     The one window rule, for every y shift and every built state: in the y
     marginal of prof, the BOUNDARY_CELLS cells at each y edge and the cells
     that a periodic shift of every row by `shift` carried across the
     window's seam may hold at most TRUNCATION_THRESHOLD of the probability.
-    Otherwise, or if prof holds no probability (or NaN), raises
-    TruncationError naming `where`.
+    Otherwise, or if there is no probability (or NaN), raises
+    TruncationError naming `where`.  `skipped` is the probability of rows
+    left out of prof; it counts as edge probability and as seam
+    probability both, so leaving rows out never passes a state that the
+    whole profile stack would fail.
     """
-    w = (np.abs(prof) ** 2).sum(axis=0, keepdims=True)
-    total = float(w.sum())
+    w = (np.abs(prof) ** 2).sum(axis=0)
+    total = float(w.sum()) + skipped
     source = grid.y - shift
     crossed = (source < grid.y_min) | (source >= grid.y_max)
-    if not total > 0.0 or edge_fraction(w) + w.sum(where=crossed) / total > TRUNCATION_THRESHOLD:
+    edge = w[:BOUNDARY_CELLS].sum() + w[-BOUNDARY_CELLS:].sum() + skipped
+    seam = w.sum(where=crossed) + skipped
+    if not total > 0.0 or edge / total + seam / total > TRUNCATION_THRESHOLD:
         raise TruncationError(f"probability reached the y boundary in {where}; widen the y window")
     return total
+
+
+def split_linear_phase(theta: float, alpha: float, l: float) -> tuple[int, float]:
+    """Mode shift m and offset theta' with exp(i alpha x) exp(2 pi i theta x / l)
+    = exp(2 pi i m x / l) exp(2 pi i theta' x / l) on a circumference l.
+
+    When alpha l / (2 pi) is an integer (a quantized phase) theta' is
+    exactly theta.  exp(2 pi i m x / l) maps mode j to j + m.
+    """
+    shift = alpha * l / (2.0 * np.pi)
+    nearest = round(shift)
+    if abs(shift - nearest) < _OFFSET_SNAP:
+        return nearest, theta
+    s = theta + shift
+    # accumulated offsets can land a rounding error away from an integer;
+    # the whole integer must go into the mode shift, or the constructor's
+    # offset fold would silently change the state
+    r = round(s)
+    if abs(s - r) < _OFFSET_SNAP:
+        return int(r), 0.0
+    m = int(np.floor(s))
+    return m, s - m
 
 
 @dataclass(frozen=True)
@@ -361,21 +393,7 @@ class Wavefunction:
         When alpha l / (2 pi) is an integer (a quantized phase) the offset
         is returned exactly unchanged.
         """
-        shift = alpha * self.grid.l / (2.0 * np.pi)
-        nearest = round(shift)
-        if abs(shift - nearest) < _OFFSET_SNAP:
-            m, theta = nearest, self.mode_offset
-        else:
-            s = self.mode_offset + shift
-            # accumulated offsets can land a rounding error away from an
-            # integer; the whole integer must go into the mode shift, or the
-            # constructor's offset fold would silently change the state
-            r = round(s)
-            if abs(s - r) < _OFFSET_SNAP:
-                m, theta = int(r), 0.0
-            else:
-                m = int(np.floor(s))
-                theta = s - m
+        m, theta = split_linear_phase(self.mode_offset, alpha, self.grid.l)
         if m == 0:
             u = self.amplitudes * 1.0
         else:

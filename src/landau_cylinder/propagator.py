@@ -52,7 +52,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ModeStack, PhysicsConfig, Wavefunction, check_window, inner_product
+from .core import (OCCUPATION_THRESHOLD, ModeStack, PhysicsConfig, Wavefunction, check_window,
+                   inner_product)
 from .drive import DriveProtocol
 from .eigenstates import hermite_profile, mode_center, mode_well
 
@@ -70,7 +71,6 @@ __all__ = [
 # rotation's potential factors well conditioned
 MAX_PIECE_ANGLE = np.pi / 2
 GAUSS_NODES = 10
-OCCUPATION_THRESHOLD = 1e-14
 ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
 
 

@@ -151,13 +151,13 @@ def check_general_loop_phase(cfg, grid, rng, height, T):
         err < 1e-4
         and abs(res.phi_B - (-np.pi)) < 1e-12
         and abs(wrap_angle(res.gamma_predicted - expected)) < 1e-14
-        and product_dev < 1e-9
+        and product_dev < 1e-13
         and oracle_gap < 1e-4
     )
     return (
         ok,
         f"phi_B {res.phi_B:+.6f}, error {err:.2e} (tol 1e-4), "
-        f"product oracle dev {product_dev:.2e}, oracle gap {oracle_gap:.2e} (tol 1e-4)",
+        f"product oracle dev {product_dev:.2e} (tol 1e-13), oracle gap {oracle_gap:.2e} (tol 1e-4)",
     )
 
 

@@ -11,6 +11,7 @@ from landau_cylinder import (
     GridMismatchError,
     ModeOffsetMismatchError,
     PhysicsConfig,
+    TruncationError,
     Wavefunction,
     displaced_gaussian,
     hermite_profile,
@@ -18,7 +19,7 @@ from landau_cylinder import (
     landau_eigenstate,
     wrap_angle,
 )
-from landau_cylinder.core import TRUNCATION_THRESHOLD, edge_fraction
+from landau_cylinder.core import TRUNCATION_THRESHOLD, check_window, edge_fraction
 
 
 # --- wrap_angle -------------------------------------------------------
@@ -256,6 +257,21 @@ def test_truncation_sees_four_edge_cells(cfg, grid):
     assert tail_mass(7.0, 4) < TRUNCATION_THRESHOLD
     psi = displaced_gaussian(cfg, grid, 0, 7.0)
     assert psi.boundary_mass() == pytest.approx(tail_mass(7.0, 4), rel=0.02)
+
+
+def test_window_rule_counts_skipped_rows_as_edge_and_seam(cfg, grid):
+    # the probability of rows left out of the profiles counts twice, as edge
+    # and as seam probability, so leaving rows out can only make it stricter
+    prof = landau_eigenstate(cfg, grid, 0, 0).to_modes().profiles[:1]
+    total = check_window(prof, grid, "the state")
+    for share in (0.0, 0.4):
+        skipped = share * TRUNCATION_THRESHOLD * total
+        assert check_window(prof, grid, "the state", skipped=skipped) == total + skipped
+    with pytest.raises(TruncationError, match="y boundary in the state;"):
+        check_window(prof, grid, "the state", skipped=0.6 * TRUNCATION_THRESHOLD * total)
+    # with no probability in the profiles, the skipped rows' is all edge
+    with pytest.raises(TruncationError):
+        check_window(0.0 * prof, grid, "the state", skipped=total)
 
 
 def test_expectation_y(cfg, grid):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from landau_cylinder import (
     ConfigError,
     Displacement,
+    DriveProtocol,
     PathPolyline,
     PhysicsConfig,
     TruncationError,
+    Wavefunction,
     ab_loop_spec,
     apply_displacement,
     compose_phase,
@@ -24,6 +26,7 @@ from landau_cylinder import (
     translate_x,
     translate_y,
 )
+from landau_cylinder.core import check_window
 
 
 # --- Displacement ------------------------------------------------------
@@ -57,6 +60,21 @@ def test_path_rejects_non_finite_vertices():
     # two NaN vertices do not compare equal, so only the finite test sees them
     with pytest.raises(ConfigError, match=r"vertex 1 must be finite"):
         PathPolyline(((0.0, 0.0), (np.nan, 0.0), (np.nan, 0.0)))
+
+
+def test_path_rejects_segments_whose_squared_length_overflows(cfg):
+    # finite vertices, but the drive's action (length^2) or its time slots
+    # (total length) would overflow
+    for vertices, segment in (
+        (((0.0, 0.0), (1e200, 1e200), (0.0, 0.0)), 0),
+        (((0.0, 0.0), (1e308, 0.0), (-1e308, 0.0)), 0),
+        (((0.0, 0.0), (1.0, 0.0), (1.0, 2e154)), 1),
+    ):
+        with pytest.raises(ConfigError, match=f"segment {segment} from .* squared length overflows"):
+            PathPolyline(vertices)
+    # just below the overflow the path and its drive build
+    path = PathPolyline(((0.0, 0.0), (1e153, 1e153), (0.0, 0.0)))
+    assert np.isfinite(DriveProtocol.from_path(cfg, path, T=10.0).drift_action())
 
 
 def test_swept_area_rectangle_frozen(cfg):
@@ -249,7 +267,7 @@ def test_sequential_matches_telescoped(cfg, grid, make_state, rng):
     np.testing.assert_allclose(
         seq_state.amplitudes,
         res.state.amplitudes * np.exp(1j * res.accumulated_phase),
-        atol=1e-9,
+        atol=1e-13,
     )
 
 
@@ -279,3 +297,103 @@ def test_closed_loop_pure_phase(cfg, grid, make_state, rng):
         total = res.state * np.exp(1j * res.accumulated_phase)
         gap = total.amplitudes - np.exp(1j * gamma) * psi.amplitudes
         assert psi.with_amplitudes(gap).norm() < 1e-12, spec.kind
+
+
+# --- the x-space translations, kept as the reference --------------------
+
+# x and y shifts within this many cells of a whole cell are index rolls
+_CELL_SNAP = 1e-12
+
+
+def _shift(u, cells, axis, phases):
+    """Periodic shift of u along axis by `cells`: a roll for whole cells, else spectral."""
+    nearest = round(cells)
+    if abs(cells - nearest) < _CELL_SNAP * max(1.0, abs(cells)):
+        return np.roll(u, nearest, axis=axis)
+    return np.fft.ifft(np.fft.fft(u, axis=axis) * phases, axis=axis)
+
+
+def reference_translate_x(psi, rx, cfg):
+    """translate_x as an FFT pair along x (or a roll) on the reduced amplitudes."""
+    grid = psi.grid
+    flux_phase = np.exp(1j * cfg.q * rx * cfg.phi0 / (cfg.hbar * grid.l * cfg.c))
+    offset_phase = np.exp(-2j * np.pi * psi.mode_offset * rx / grid.l)
+    turns = np.mod(grid.mode_numbers * (rx / grid.l), 1.0)
+    u = _shift(psi.amplitudes, rx / grid.dx, 0, np.exp(-2j * np.pi * turns)[:, None])
+    return psi.with_amplitudes(u * (flux_phase * offset_phase))
+
+
+def reference_translate_y(psi, ry, cfg):
+    """translate_y as an FFT pair along y (or a roll), the window judged on
+    every x row, then the gauge phase multiplied in x space."""
+    grid = psi.grid
+    u = _shift(psi.amplitudes, ry / grid.dy, 1, np.exp(-1j * grid.ky * ry)[None, :])
+    check_window(u, grid, f"the state translated by ry = {ry:g}", ry)
+    return psi.with_amplitudes(u).multiply_phase_linear_x(-cfg.q * cfg.B * ry / (cfg.hbar * cfg.c))
+
+
+def reference_apply_displacement(psi, disp, cfg):
+    out = reference_translate_y(reference_translate_x(psi, disp.rx, cfg), disp.ry, cfg)
+    return out * np.exp(0.5j * cfg.q * cfg.B * disp.rx * disp.ry / (cfg.hbar * cfg.c))
+
+
+def reference_sequential_translation(psi, path, cfg):
+    state, reached, phase = psi, Displacement(0.0, 0.0), 0.0
+    for seg in path.segments:
+        state = reference_apply_displacement(state, seg, cfg)
+        phase += compose_phase(reached, seg, cfg)
+        reached = reached + seg
+    return state, phase
+
+
+def assert_matches_reference(new, old):
+    assert abs(new.mode_offset - old.mode_offset) <= 1e-14
+    assert np.max(np.abs(new.amplitudes - old.amplitudes)) <= 1e-13
+
+
+def check_against_reference(psi, cfg, rx, ry, path=None):
+    assert_matches_reference(translate_x(psi, rx, cfg), reference_translate_x(psi, rx, cfg))
+    assert_matches_reference(translate_y(psi, ry, cfg), reference_translate_y(psi, ry, cfg))
+    disp = Displacement(rx, ry)
+    assert_matches_reference(apply_displacement(psi, disp, cfg),
+                             reference_apply_displacement(psi, disp, cfg))
+    if path is not None:
+        state, phase = sequential_translation(psi, path, cfg)
+        old_state, old_phase = reference_sequential_translation(psi, path, cfg)
+        assert_matches_reference(state, old_state)
+        assert abs(phase - old_phase) <= 1e-14
+
+
+def test_translations_match_the_x_space_reference(cfg, grid, make_state, rng):
+    path = PathPolyline(((0.0, 0.0), (0.5, 0.4), (-0.3, 0.9), (0.0, 0.0))).refined(4)
+    for _ in range(4):
+        psi = make_state(rng)
+        # theta != 0, reached by an unquantized y step
+        lifted = reference_translate_y(psi, float(rng.uniform(0.1, 0.9)), cfg)
+        assert lifted.mode_offset != 0.0
+        for state in (psi, lifted):
+            rx, ry = rng.uniform(-1.5, 1.5, 2)
+            check_against_reference(state, cfg, rx, ry, path)
+            # quantized y steps keep the offset and relabel the modes
+            for k in (-2, 1, 3):
+                check_against_reference(state, cfg, rx, k * cfg.translation_step)
+            # whole cells: the reference rolls the indices
+            for k in (1, -17, 64):
+                check_against_reference(state, cfg, k * grid.dx, k * grid.dy)
+
+
+def test_translations_match_the_reference_across_the_nyquist_edge(grid):
+    # with 31 flux quanta in the bore, modes 29 to 31 sit near the middle of
+    # the window; a step of -1 translation step maps j to j + 1, and row
+    # j = 31 goes to j = -32, the other end of the grid's Nyquist range
+    cfg = PhysicsConfig.reference(phi0=31 * 2.0 * np.pi)
+    amps = sum(c * landau_eigenstate(cfg, grid, n, j).amplitudes
+               for n, j, c in ((0, 31, 1.0), (1, 30, 0.5j), (2, 29, -0.7)))
+    psi = Wavefunction(grid, amps, 0.0).normalized()
+    moved = translate_y(psi, -cfg.translation_step, cfg)
+    norms = moved.to_modes().mode_norms_sq()
+    assert norms[grid.mode_row(-32)] == pytest.approx(1.0 / 1.74, abs=1e-12)
+    path = PathPolyline(((0.0, 0.0), (0.4, -1.0), (0.9, -1.5)))
+    check_against_reference(psi, cfg, 0.37, -cfg.translation_step, path)
+    check_against_reference(psi, cfg, 0.37, -2.3, path.refined(3))
+
