@@ -257,7 +257,7 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
             rows.append((n, j, 2.0 * np.pi * j / cfg.l, mode_center(cfg, j), energy, resid))
     write_csv(out / "eigen.csv", ("n", "j", "kappa", "y_center", "energy", "residual"), rows, conf)
     print(f"wrote {out / 'eigen.csv'} ({len(rows)} states)")
-    worst = max(r[-1] for r in rows)
+    worst = np.max([r[-1] for r in rows])
     print(f"worst eigen-residual: {worst:.3e}")
     return 0
 

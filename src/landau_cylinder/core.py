@@ -284,6 +284,8 @@ class CylinderGrid:
 
 
 def _normalize_offset(theta: float) -> float:
+    if not math.isfinite(theta):
+        raise ConfigError(f"mode offset must be finite (got {theta})")
     theta = float(theta) % 1.0
     # offsets within rounding noise of an integer are exactly 0; callers
     # that add whole units must absorb them into the amplitudes first

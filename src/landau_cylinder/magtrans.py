@@ -93,6 +93,7 @@ class PathPolyline:
             raise ConfigError("a path needs at least two vertices")
         if self.vertices[0] != (0.0, 0.0):
             raise ConfigError(f"paths start at the origin (got {self.vertices[0]})")
+        total_sq = 0.0
         for i, (a, b) in enumerate(zip(self.vertices, self.vertices[1:]), start=1):
             if not np.isfinite(b).all():
                 raise ConfigError(f"vertex {i} must be finite (got {b})")
@@ -100,9 +101,16 @@ class PathPolyline:
                 raise ConfigError(f"consecutive vertices coincide at {a}")
             # the drive's action and time slots take the squared length
             dx, dy = float(b[0]) - float(a[0]), float(b[1]) - float(a[1])
-            if not math.isfinite(dx * dx + dy * dy):
+            seg_sq = dx * dx + dy * dy
+            if not math.isfinite(seg_sq):
                 raise ConfigError(f"segment {i - 1} from {a} to {b} is too long: "
                                   "its squared length overflows")
+            total_sq += seg_sq
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = self.swept_area()
+        if not (math.isfinite(total_sq) and math.isfinite(area)):
+            raise ConfigError("the path is too large: its swept area or its summed "
+                              "squared segment length overflows")
 
     @classmethod
     def from_points(cls, points) -> "PathPolyline":

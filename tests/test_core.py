@@ -184,6 +184,14 @@ def test_inner_product_grid_and_offset_guards(cfg, grid, make_state, rng):
         inner_product(a, c)
 
 
+def test_non_finite_mode_offset_is_refused(grid):
+    # a NaN offset would pass the sector guard of inner_product
+    amps = np.ones((grid.Nx, grid.Ny), dtype=complex)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="mode offset must be finite"):
+            Wavefunction(grid, amps, bad)
+
+
 def test_normalized(make_state, rng):
     psi = make_state(rng) * 3.7
     assert psi.normalized().norm() == pytest.approx(1.0, abs=1e-13)

@@ -60,6 +60,13 @@ def test_path_rejects_non_finite_vertices():
     # two NaN vertices do not compare equal, so only the finite test sees them
     with pytest.raises(ConfigError, match=r"vertex 1 must be finite"):
         PathPolyline(((0.0, 0.0), (np.nan, 0.0), (np.nan, 0.0)))
+    # finite vertices and segments, but the swept area and the drift action
+    # would overflow
+    huge = [(0.0, 0.0)]
+    for k in range(8):
+        huge.append((huge[-1][0] + 9e153, huge[-1][1] + (9e153 if k % 2 == 0 else -9e153)))
+    with pytest.raises(ConfigError, match=r"swept area or its summed squared segment length"):
+        PathPolyline(tuple(huge))
 
 
 def test_path_rejects_segments_whose_squared_length_overflows(cfg):
