@@ -34,7 +34,6 @@ from .core import (
     NonCyclicEvolutionError,
     PhysicsConfig,
     TruncationError,
-    Wavefunction,
     wrap_angle,
 )
 from .eigenstates import landau_eigenstate, landau_energy, mode_center
@@ -250,10 +249,7 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
         energy = landau_energy(cfg, n)
         for j in range(-j_max, j_max + 1):
             psi = landau_eigenstate(cfg, grid, n, j)
-            hpsi = apply_hamiltonian(psi, cfg)
-            resid = Wavefunction(
-                grid, hpsi.amplitudes - energy * psi.amplitudes, psi.mode_offset
-            ).norm()
+            resid = (apply_hamiltonian(psi, cfg) - psi * energy).norm()
             rows.append((n, j, 2.0 * np.pi * j / cfg.l, mode_center(cfg, j), energy, resid))
     write_csv(out / "eigen.csv", ("n", "j", "kappa", "y_center", "energy", "residual"), rows, conf)
     print(f"wrote {out / 'eigen.csv'} ({len(rows)} states)")

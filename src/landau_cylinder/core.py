@@ -10,16 +10,22 @@ and a flux ``phi`` threads the hollow.  We work in the gauge
 so the Hamiltonian is translation invariant in x at all times and the
 x momentum quantum number is conserved.
 
-States are stored as a periodic reduced function u(x, y) together with a
-fractional mode offset theta in [0, 1).  The physical wave is
+States are stored by x mode: the (mode, y) profiles chi_j(y) of a
+ModeStack together with a fractional mode offset theta in [0, 1).  The
+physical wave is
 
     Psi(x, y) = exp(2 pi i theta x / l) u(x, y),
+    u(x, y) = sum_j chi_j(y) exp(2 pi i j x / l) / sqrt(l),
 
 single valued iff theta = 0.  Quasi-periodic intermediates (theta != 0)
 appear when a linear-in-x phase with non-quantized slope is applied, e.g.
 inside y translations that do not satisfy the flux quantization condition.
 The plane-wave content of Psi lives at wavevectors kappa_j = 2 pi (j +
-theta) / l with integer j in the grid's Nyquist range.
+theta) / l with integer j in the grid's Nyquist range.  p_x is conserved,
+so every propagator and translation acts row by row and nothing transforms
+a stored state along x: the reduced amplitudes u(x, y) are a view computed
+on each read (Wavefunction.amplitudes), and a state built from them
+(Wavefunction(grid, u, theta)) is transformed once, at construction.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ __all__ = [
     "ModeStack",
     "inner_product",
     "wrap_angle",
-    "edge_fraction",
 ]
 
 BOUNDARY_CELLS = 4
@@ -81,13 +86,6 @@ def wrap_angle(angle: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
     wrapped = float(np.remainder(angle, 2.0 * np.pi))
     return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
-
-
-def edge_fraction(density: np.ndarray) -> float:
-    """Fraction of a (row, y) density within BOUNDARY_CELLS of the y edges (0 if empty)."""
-    total = density.sum()
-    edge = density[:, :BOUNDARY_CELLS].sum() + density[:, -BOUNDARY_CELLS:].sum()
-    return float(edge / total) if total > 0.0 else 0.0
 
 
 def check_window(
@@ -322,40 +320,61 @@ class ModeStack:
         return np.nonzero(weights > rel_threshold * total)[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Wavefunction:
-    """State on the cylinder grid: reduced amplitudes plus mode offset."""
+    """State on the cylinder grid, stored as its mode stack: the (mode, y)
+    profiles of ModeStack plus the mode offset.
+
+    Wavefunction(grid, amplitudes, mode_offset) builds the state from
+    reduced x-space amplitudes u(x, y) of shape (Nx, Ny) with one FFT
+    along x; from_modes builds it from a stack with none.  `amplitudes`
+    computes u back on every read.
+    """
 
     grid: CylinderGrid
-    amplitudes: np.ndarray
-    mode_offset: float = 0.0
+    profiles: np.ndarray
+    mode_offset: float
 
-    def __post_init__(self) -> None:
-        if self.amplitudes.shape != (self.grid.Nx, self.grid.Ny):
+    def __init__(self, grid: CylinderGrid, amplitudes: np.ndarray, mode_offset: float = 0.0):
+        self._store(grid, np.fft.fft(amplitudes, axis=0) * (np.sqrt(grid.l) / grid.Nx), mode_offset)
+
+    def _store(self, grid: CylinderGrid, profiles: np.ndarray, mode_offset: float) -> None:
+        if profiles.shape != (grid.Nx, grid.Ny):
             raise ConfigError(
-                f"amplitude shape {self.amplitudes.shape} does not match grid "
-                f"({self.grid.Nx}, {self.grid.Ny})"
+                f"state shape {profiles.shape} does not match grid ({grid.Nx}, {grid.Ny})"
             )
-        object.__setattr__(self, "mode_offset", _normalize_offset(self.mode_offset))
+        # read-only: to_modes shares the array, so no reader may write into the state
+        profiles = profiles.view()
+        profiles.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "mode_offset", _normalize_offset(mode_offset))
 
-    # -- construction -------------------------------------------------
+    # -- construction and views ----------------------------------------
 
     @classmethod
     def from_modes(cls, stack: ModeStack) -> "Wavefunction":
-        u = np.fft.ifft(stack.profiles, axis=0) * (stack.grid.Nx / np.sqrt(stack.grid.l))
-        return cls(stack.grid, u, stack.mode_offset)
+        """The state of `stack`, sharing its array: no FFT."""
+        psi = cls.__new__(cls)
+        psi._store(stack.grid, stack.profiles, stack.mode_offset)
+        return psi
 
     def to_modes(self) -> ModeStack:
-        profiles = np.fft.fft(self.amplitudes, axis=0) * (np.sqrt(self.grid.l) / self.grid.Nx)
-        return ModeStack(self.grid, profiles, self.mode_offset)
+        """The stored mode stack, sharing its array: no FFT."""
+        return ModeStack(self.grid, self.profiles, self.mode_offset)
 
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "Wavefunction":
-        return Wavefunction(self.grid, amplitudes, self.mode_offset)
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Reduced amplitudes u(x, y): one inverse FFT along x per read, not kept."""
+        return np.fft.ifft(self.profiles, axis=0) * (self.grid.Nx / np.sqrt(self.grid.l))
 
-    # -- norms and overlaps -------------------------------------------
+    def _with_profiles(self, profiles: np.ndarray) -> "Wavefunction":
+        return Wavefunction.from_modes(ModeStack(self.grid, profiles, self.mode_offset))
+
+    # -- norms and arithmetic -----------------------------------------
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx * self.grid.dy)
+        return float(np.vdot(self.profiles, self.profiles).real * self.grid.dy)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
@@ -364,51 +383,34 @@ class Wavefunction:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return self.with_amplitudes(self.amplitudes / n)
+        return self._with_profiles(self.profiles / n)
 
-    # -- diagnostics ---------------------------------------------------
+    def __mul__(self, scalar: complex) -> "Wavefunction":
+        return self._with_profiles(self.profiles * scalar)
 
-    def probability_density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+    __rmul__ = __mul__
 
-    def boundary_mass(self) -> float:
-        """Fraction of probability within BOUNDARY_CELLS grid cells of the y edges."""
-        return edge_fraction(self.probability_density())
+    def __add__(self, other: "Wavefunction") -> "Wavefunction":
+        _require_same_basis(self, other)
+        return self._with_profiles(self.profiles + other.profiles)
 
-    def expectation_y(self) -> float:
-        rho = self.probability_density()
-        return float(np.sum(rho.sum(axis=0) * self.grid.y) / rho.sum())
-
-    def x_centroid_angle(self) -> float:
-        """Circular mean angle 2 pi <x> / l of the density, in (-pi, pi]."""
-        rho = self.probability_density().sum(axis=1)
-        c = np.sum(rho * np.exp(2j * np.pi * self.grid.x / self.grid.l))
-        return float(np.angle(c))
+    def __sub__(self, other: "Wavefunction") -> "Wavefunction":
+        _require_same_basis(self, other)
+        return self._with_profiles(self.profiles - other.profiles)
 
     # -- phases --------------------------------------------------------
 
     def multiply_phase_linear_x(self, alpha: float) -> "Wavefunction":
         """Multiply by exp(i alpha x), tracking the mode offset.
 
-        The offset advances by alpha l / (2 pi) mod 1; the integer part is
-        an exact mode-index shift absorbed into the reduced amplitudes.
-        When alpha l / (2 pi) is an integer (a quantized phase) the offset
-        is returned exactly unchanged.
+        The offset advances by alpha l / (2 pi) mod 1; the integer part m
+        maps mode j to j + m, an exact roll of the rows.  When alpha l /
+        (2 pi) is an integer (a quantized phase) the offset is returned
+        exactly unchanged.
         """
         m, theta = split_linear_phase(self.mode_offset, alpha, self.grid.l)
-        if m == 0:
-            u = self.amplitudes * 1.0
-        else:
-            # exp(2 pi i m x / l) at x_i = i l / Nx: exact roots of unity
-            angles = (m * np.arange(self.grid.Nx)) % self.grid.Nx
-            phase = np.exp(2j * np.pi * angles / self.grid.Nx)
-            u = self.amplitudes * phase[:, None]
-        return Wavefunction(self.grid, u, theta)
-
-    def __mul__(self, scalar: complex) -> "Wavefunction":
-        return self.with_amplitudes(self.amplitudes * scalar)
-
-    __rmul__ = __mul__
+        rolled = np.roll(self.profiles, m, axis=0)
+        return Wavefunction.from_modes(ModeStack(self.grid, rolled, theta))
 
 
 def _require_same_basis(a: Wavefunction, b: Wavefunction) -> None:
@@ -427,4 +429,4 @@ def _require_same_basis(a: Wavefunction, b: Wavefunction) -> None:
 def inner_product(a: Wavefunction, b: Wavefunction) -> complex:
     """<a|b> with the physicist convention (antilinear in the first slot)."""
     _require_same_basis(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes) * a.grid.dx * a.grid.dy)
+    return complex(np.vdot(a.profiles, b.profiles) * a.grid.dy)

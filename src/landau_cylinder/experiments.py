@@ -334,15 +334,14 @@ def adiabatic_study(
     rows = []
     for T in T_values:
         result, psi0, record = _run_spec(cfg, grid, replace(spec, T=float(T)), 0.0)
-        ideal = np.exp(1j * (result.gamma_predicted - result.dynamical_phase)) * psi0.amplitudes
-        psi_T = record.final_state
+        ideal = psi0 * np.exp(1j * (result.gamma_predicted - result.dynamical_phase))
         rows.append(
             StudyRow(
                 T=float(T),
                 gamma_error=abs(wrap_angle(result.gamma_measured - result.gamma_predicted)),
                 infidelity=1.0 - result.fidelity,
                 gamma_raw_error=abs(wrap_angle(result.gamma_raw - result.gamma_predicted)),
-                discrepancy_norm=psi_T.with_amplitudes(psi_T.amplitudes - ideal).norm(),
+                discrepancy_norm=(record.final_state - ideal).norm(),
                 result=result,
             )
         )

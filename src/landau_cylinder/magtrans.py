@@ -29,16 +29,17 @@ exp(-2 pi i mod(j R_x / l, 1)) times the flux and offset phases; the y
 shift is a phase per k_y column, exp(-i k_y R_y); the gauge factor is a
 roll of the rows by the integer part of its slope plus a new offset
 (core.split_linear_phase, which Wavefunction.multiply_phase_linear_x
-also uses).  A public call costs one FFT along x and one along y each
-way; every vertex after that costs two phase multiplies, a roll of the
-rows when the offset passes an integer, and one inverse y FFT of the
-occupied rows for its window check.  That check sees only the rows above
-OCCUPATION_THRESHOLD; the others' probability counts as edge and as seam
-probability both, and a row can put at most its own probability in
-either, so no verdict is looser than one on every row.  On the
-benchmark's oracle drives (3 of 64 rows occupied, 48 vertices),
-sequential_translation takes 7.6 ms per drive, against 58 ms for the
-x-space FFT pairs per vertex that it replaced (2-core Xeon, numpy 2.4.6).
+also uses).  States are stored by mode row, so a public call costs one
+FFT along y each way and none along x; every vertex after that costs two
+phase multiplies, a roll of the rows when the offset passes an integer,
+and one inverse y FFT of the occupied rows for its window check.  That
+check sees only the rows above OCCUPATION_THRESHOLD; the others'
+probability counts as edge and as seam probability both, and a row can
+put at most its own probability in either, so no verdict is looser than
+one on every row.  On the benchmark's oracle drives (3 of 64 rows
+occupied, 48 vertices), sequential_translation takes 6.9-7.3 ms per
+drive, against 58 ms for x-space FFT pairs at every vertex (2-core Xeon,
+numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (OCCUPATION_THRESHOLD, ConfigError, PhysicsConfig, Wavefunction, check_window,
-                   split_linear_phase)
+from .core import (OCCUPATION_THRESHOLD, ConfigError, ModeStack, PhysicsConfig, Wavefunction,
+                   check_window, split_linear_phase)
 
 __all__ = [
     "Displacement",
@@ -157,19 +158,20 @@ class PathPolyline:
 class _ModeBasis:
     """A state in the (mode, k_y) basis, where every factor of a magnetic
     translation is a phase per mode row, a phase per k_y column or a roll
-    of the rows.  One FFT along x and one along y bring the state in, and
-    the same two bring it back (wavefunction)."""
+    of the rows.  The state is stored by mode row, so one FFT along y
+    brings it in, and one brings it back (wavefunction)."""
 
     def __init__(self, psi: Wavefunction, cfg: PhysicsConfig) -> None:
         self.cfg = cfg
         self.grid = psi.grid
         self.theta = psi.mode_offset
-        self.spec = np.fft.fft2(psi.amplitudes)
-        weights = (np.abs(self.spec) ** 2).sum(axis=1)
+        self.spec = np.fft.fft(psi.profiles, axis=1)
+        # in grid units, as check_window's total
+        weights = psi.to_modes().mode_norms_sq() / self.grid.dy
         # the factors keep each row's probability and the roll moves it with
         # the row, so the rows that hold probability are found once
         self.occupied = weights > OCCUPATION_THRESHOLD * weights.sum()
-        self.skipped = weights[~self.occupied].sum() / self.grid.Ny
+        self.skipped = weights[~self.occupied].sum()
 
     def shift_x(self, rx: float, phase: float = 0.0) -> None:
         """x shift by rx, times the c-number e^{i phase}.
@@ -215,7 +217,8 @@ class _ModeBasis:
         self.shift_y(disp.ry)
 
     def wavefunction(self) -> Wavefunction:
-        return Wavefunction(self.grid, np.fft.ifft2(self.spec), self.theta)
+        profiles = np.fft.ifft(self.spec, axis=1)
+        return Wavefunction.from_modes(ModeStack(self.grid, profiles, self.theta))
 
 
 def translate_x(psi: Wavefunction, rx: float, cfg: PhysicsConfig) -> Wavefunction:

@@ -26,9 +26,11 @@ from the reference row gets -delta F in G, F = int q E_y dt.  On a loop
 that winds w times F = q B w l / c, so delta_j F = -2 pi hbar w (j + theta)
 and at theta = 0 every row reads the same phase.  The rotation is (-1)^K
 times at most four exact V K V pieces, so an experiment makes at most ten
-FFT calls whatever T.  Only the occupied mode rows are propagated, each
-factor is unitary, and probability at the y boundary, in the rotated
-initial state or in the final state, raises TruncationError.
+FFT calls whatever T, all along y: states are stored by mode row
+(core.Wavefunction), so reading psi0's rows and storing psi(T)'s takes no
+transform.  Only the occupied mode rows are propagated, each factor is
+unitary, and probability at the y boundary, in the rotated initial state
+or in the final state, raises TruncationError.
 
 evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
 
 import numpy as np
 
@@ -74,33 +75,17 @@ GAUSS_NODES = 10
 ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
 
 
-def apply_hamiltonian(
-    psi: Wavefunction,
-    cfg: PhysicsConfig,
-    protocol: Optional[DriveProtocol] = None,
-    t: float = 0.0,
-) -> Wavefunction:
-    """Apply H(t) spectrally.  protocol=None means the static Hamiltonian."""
+def apply_hamiltonian(psi: Wavefunction, cfg: PhysicsConfig) -> Wavefunction:
+    """Apply the static Hamiltonian at flux cfg.phi0, spectrally in y, row by row."""
     grid = psi.grid
-    stack = psi.to_modes()
-    if protocol is None:
-        phi_t, ey_t = cfg.phi0, 0.0
-    else:
-        phi_t = float(protocol.flux(t))
-        ey_t = float(protocol.efield(t)[1])
-
     y = grid.y[None, :]
-    ax = -cfg.B * y + phi_t / cfg.l
-    pix = cfg.hbar * grid.kappas(stack.mode_offset)[:, None] - cfg.q * ax / cfg.c
-    v = pix**2 / (2.0 * cfg.m) - cfg.q * ey_t * y
-
-    ky2 = grid.ky**2
+    ax = -cfg.B * y + cfg.phi0 / cfg.l
+    pix = cfg.hbar * grid.kappas(psi.mode_offset)[:, None] - cfg.q * ax / cfg.c
     kinetic = np.fft.ifft(
-        np.fft.fft(stack.profiles, axis=1) * (cfg.hbar**2 * ky2 / (2.0 * cfg.m))[None, :],
-        axis=1,
+        np.fft.fft(psi.profiles, axis=1) * (cfg.hbar**2 * grid.ky**2 / (2.0 * cfg.m)), axis=1
     )
     return Wavefunction.from_modes(
-        ModeStack(grid, kinetic + v * stack.profiles, stack.mode_offset)
+        ModeStack(grid, kinetic + pix**2 / (2.0 * cfg.m) * psi.profiles, psi.mode_offset)
     )
 
 
@@ -295,11 +280,10 @@ def evolve_tdse(psi0: Wavefunction, protocol: DriveProtocol) -> EvolutionRecord:
     full = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     full[occ] = prof
     final = Wavefunction.from_modes(ModeStack(grid, full, stack.mode_offset))
-    norm0 = np.sqrt(float((np.abs(stack.profiles) ** 2).sum() * grid.dy))
     return EvolutionRecord(
         final_state=final,
         n_steps=sum(n for *_, n in pieces),
-        norm_drift=abs(float(np.sqrt(total * grid.dy)) - norm0),
+        norm_drift=abs(float(np.sqrt(total * grid.dy)) - psi0.norm()),
     )
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from landau_cylinder import CylinderGrid, PhysicsConfig, Wavefunction, landau_eigenstate
+from landau_cylinder.core import BOUNDARY_CELLS
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,19 @@ def grid(cfg):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def y_stats():
+    """(<y>, edge share) of (row, y) profiles on a grid: the mean of y, and
+    the share of the probability within BOUNDARY_CELLS cells of the y edges."""
+
+    def stats(profiles, grid):
+        w = (np.abs(profiles) ** 2).sum(axis=0)
+        edge = w[:BOUNDARY_CELLS].sum() + w[-BOUNDARY_CELLS:].sum()
+        return float(w @ grid.y / w.sum()), float(edge / w.sum())
+
+    return stats
 
 
 @pytest.fixture()

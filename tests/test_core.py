@@ -10,16 +10,21 @@ from landau_cylinder import (
     CylinderGrid,
     GridMismatchError,
     ModeOffsetMismatchError,
+    ModeStack,
+    PathPolyline,
     PhysicsConfig,
     TruncationError,
     Wavefunction,
+    ab_loop_spec,
     displaced_gaussian,
     hermite_profile,
     inner_product,
     landau_eigenstate,
+    run_loop,
+    sequential_translation,
     wrap_angle,
 )
-from landau_cylinder.core import TRUNCATION_THRESHOLD, check_window, edge_fraction
+from landau_cylinder.core import TRUNCATION_THRESHOLD, check_window
 
 
 # --- wrap_angle -------------------------------------------------------
@@ -145,26 +150,54 @@ def test_kappas_offset(cfg):
 
 
 def test_wavefunction_rejects_wrong_shape(grid):
+    # from x-space amplitudes and from a mode stack alike: the stack's path
+    # takes no FFT that could reject the shape for it
     for shape in ((grid.Nx, grid.Ny + 1), (grid.Ny, grid.Nx), (grid.Nx * grid.Ny,)):
         with pytest.raises(ConfigError, match="does not match grid"):
             Wavefunction(grid, np.zeros(shape, dtype=complex))
+        with pytest.raises(ConfigError, match="does not match grid"):
+            Wavefunction.from_modes(ModeStack(grid, np.zeros(shape, dtype=complex)))
 
 
 def test_mode_roundtrip(cfg, grid, rng):
     prof = rng.normal(size=(grid.Nx, grid.Ny)) + 1j * rng.normal(size=(grid.Nx, grid.Ny))
-    from landau_cylinder import ModeStack
-
-    stack = ModeStack(grid, prof, 0.0)
+    stack = ModeStack(grid, prof, 0.3)
     psi = Wavefunction.from_modes(stack)
     back = psi.to_modes()
     np.testing.assert_allclose(back.profiles, prof, atol=1e-12)
+    assert back.mode_offset == 0.3
+    # the stack shares the state's array, which no reader may write into
+    with pytest.raises(ValueError, match="read-only"):
+        back.profiles[0, 0] = 0.0
+    # x-space amplitudes in, through the stored modes, and back out
+    u = rng.normal(size=(grid.Nx, grid.Ny)) + 1j * rng.normal(size=(grid.Nx, grid.Ny))
+    np.testing.assert_allclose(Wavefunction(grid, u, 0.3).amplitudes, u, atol=1e-12)
+
+
+def test_experiments_transform_along_y_only(cfg, grid, make_state, rng, monkeypatch):
+    # states are stored by mode row, so a loop experiment and a path of
+    # translations transform along y, the last axis, and never along x
+    psi = make_state(rng)
+    path = PathPolyline(((0.0, 0.0), (0.5, 0.4), (-0.3, 0.9))).refined(2)
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2"):
+        def record(a, *args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append((_name, args, kwargs.get("axis", -1) % np.ndim(a) == np.ndim(a) - 1))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, record)
+    run_loop(cfg, grid, ab_loop_spec(cfg, T=200.0))
+    sequential_translation(psi, path, cfg)
+    assert calls
+    assert all(name in ("fft", "ifft") and not args and along_y for name, args, along_y in calls)
 
 
 def test_parseval(cfg, grid, make_state, rng):
+    # the stored norm, a sum over mode rows, is the norm of the x-space view
     for _ in range(5):
         psi = make_state(rng)
-        total = float(np.sum(psi.to_modes().mode_norms_sq()))
-        assert total == pytest.approx(psi.norm_sq(), abs=1e-12)
+        grid_norm_sq = float(np.sum(np.abs(psi.amplitudes) ** 2) * grid.dx * grid.dy)
+        assert psi.norm_sq() == pytest.approx(grid_norm_sq, abs=1e-12)
 
 
 def test_inner_product_conjugate_symmetry(make_state, rng):
@@ -177,11 +210,13 @@ def test_inner_product_grid_and_offset_guards(cfg, grid, make_state, rng):
     a = make_state(rng)
     other = CylinderGrid.for_config(cfg, Nx=32, Ny=256)
     b = Wavefunction(other, np.ones((32, 256), dtype=complex), 0.0)
-    with pytest.raises(GridMismatchError):
-        inner_product(a, b)
     c = Wavefunction(grid, a.amplitudes, 0.25)
-    with pytest.raises(ModeOffsetMismatchError):
-        inner_product(a, c)
+    # sums and differences of states are guarded like overlaps
+    for op in (inner_product, Wavefunction.__add__, Wavefunction.__sub__):
+        with pytest.raises(GridMismatchError):
+            op(a, b)
+        with pytest.raises(ModeOffsetMismatchError):
+            op(a, c)
 
 
 def test_non_finite_mode_offset_is_refused(grid):
@@ -231,19 +266,7 @@ def test_linear_x_phase_composition(a1, a2):
     np.testing.assert_allclose(once.amplitudes, direct.amplitudes, atol=1e-10)
 
 
-def test_boundary_mass_small_for_centered_state(cfg, grid):
-    psi = landau_eigenstate(cfg, grid, 0, 0)
-    assert psi.boundary_mass() < 1e-14
-    # two of ten units of density sit in the edge cells, one at each end
-    density = np.zeros((2, grid.Ny))
-    density[0, 0] = density[1, -1] = 1.0
-    density[:, grid.Ny // 2] = 4.0
-    assert edge_fraction(density) == 0.2
-    # an empty density gives 0
-    assert edge_fraction(0 * density) == 0.0
-
-
-def test_truncation_sees_four_edge_cells(cfg, grid):
+def test_truncation_sees_four_edge_cells(cfg, grid, y_stats):
     # an n = 0 state near the top edge, whose mass in the last k cells (each
     # centred on its grid point) is the Gaussian tail erfc((y - c) / l_B) / 2
     # between y_max - (k + 1/2) dy and y_max - dy / 2
@@ -256,15 +279,15 @@ def test_truncation_sees_four_edge_cells(cfg, grid):
 
     # at 7.5 the four cells hold 5.3e-10, but the outermost only 6.5e-11, so
     # the state is refused at construction
-    density = np.abs(hermite_profile(cfg, grid.y, 7.5, 0)[None, :]) ** 2
+    prof = hermite_profile(cfg, grid.y, 7.5, 0)[None, :]
     assert tail_mass(7.5, 1) < TRUNCATION_THRESHOLD < tail_mass(7.5, 4)
-    assert edge_fraction(density) == pytest.approx(tail_mass(7.5, 4), rel=0.02)
+    assert y_stats(prof, grid)[1] == pytest.approx(tail_mass(7.5, 4), rel=0.02)
     with pytest.raises(ConfigError, match="y boundary"):
         displaced_gaussian(cfg, grid, 0, 7.5)
     # at 7.0 the four cells hold 5.3e-12, and the state is admitted
     assert tail_mass(7.0, 4) < TRUNCATION_THRESHOLD
     psi = displaced_gaussian(cfg, grid, 0, 7.0)
-    assert psi.boundary_mass() == pytest.approx(tail_mass(7.0, 4), rel=0.02)
+    assert y_stats(psi.to_modes().profiles, grid)[1] == pytest.approx(tail_mass(7.0, 4), rel=0.02)
 
 
 def test_window_rule_counts_skipped_rows_as_edge_and_seam(cfg, grid):
@@ -281,17 +304,3 @@ def test_window_rule_counts_skipped_rows_as_edge_and_seam(cfg, grid):
     with pytest.raises(TruncationError):
         check_window(0.0 * prof, grid, "the state", skipped=total)
 
-
-def test_expectation_y(cfg, grid):
-    from landau_cylinder import mode_center
-
-    psi = landau_eigenstate(cfg, grid, 2, -1)
-    assert psi.expectation_y() == pytest.approx(mode_center(cfg, -1), abs=1e-10)
-
-
-def test_x_centroid_angle_of_two_mode_beat(cfg, grid):
-    # equal-weight j=0, j=1 with real positive overlap: centroid at angle 0
-    a = landau_eigenstate(cfg, grid, 0, 0)
-    b = landau_eigenstate(cfg, grid, 0, 1)
-    psi = Wavefunction(grid, (a.amplitudes + b.amplitudes) / np.sqrt(2), 0.0)
-    assert abs(psi.x_centroid_angle()) < 1e-10

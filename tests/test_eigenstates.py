@@ -7,7 +7,6 @@ from landau_cylinder import (
     ConfigError,
     CylinderGrid,
     PhysicsConfig,
-    Wavefunction,
     apply_hamiltonian,
     displaced_gaussian,
     hermite_profile,
@@ -16,7 +15,7 @@ from landau_cylinder import (
     landau_energy,
     mode_center,
 )
-from landau_cylinder.core import TRUNCATION_THRESHOLD, edge_fraction
+from landau_cylinder.core import TRUNCATION_THRESHOLD
 
 
 # --- guiding centers --------------------------------------------------
@@ -89,10 +88,7 @@ def test_eigenstate_residual(cfg, grid):
     for n in range(3):
         for j in (-2, 0, 2):
             psi = landau_eigenstate(cfg, grid, n, j)
-            hpsi = apply_hamiltonian(psi, cfg)
-            resid = Wavefunction(
-                grid, hpsi.amplitudes - landau_energy(cfg, n) * psi.amplitudes, 0.0
-            ).norm()
+            resid = (apply_hamiltonian(psi, cfg) - psi * landau_energy(cfg, n)).norm()
             assert resid < 1e-10
 
 
@@ -117,7 +113,7 @@ def test_eigenstate_rejects_state_outside_window(cfg):
         landau_eigenstate(cfg, tight, 0, -4)  # center 4.25 is off the grid
 
 
-def test_admission_is_the_window_rule(grid):
+def test_admission_is_the_window_rule(grid, y_stats):
     # landau_eigenstate admits (n, j) iff the edge cells of its profile hold
     # at most TRUNCATION_THRESHOLD of its probability; at phi0 = pi/2 row j
     # is centred at 0.25 - j
@@ -126,7 +122,7 @@ def test_admission_is_the_window_rule(grid):
     for n in range(4):
         for j in range(-grid.Nx // 2, grid.Nx // 2):
             prof = hermite_profile(cfg, grid.y, mode_center(cfg, j), n)
-            fits = edge_fraction(np.abs(prof[None, :]) ** 2) <= TRUNCATION_THRESHOLD
+            fits = y_stats(prof[None, :], grid)[1] <= TRUNCATION_THRESHOLD
             try:
                 landau_eigenstate(cfg, grid, n, j)
             except ConfigError:
@@ -166,8 +162,8 @@ def test_displaced_gaussian_energy(cfg, grid):
     assert e == pytest.approx(0.82499999999999996, abs=1e-10)
 
 
-def test_displaced_gaussian_center_and_norm(cfg, grid):
+def test_displaced_gaussian_center_and_norm(cfg, grid, y_stats):
     c0 = mode_center(cfg, 1) - 1.2
     psi = displaced_gaussian(cfg, grid, j=1, center=c0, n=2)
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
-    assert psi.expectation_y() == pytest.approx(c0, abs=1e-10)
+    assert y_stats(psi.to_modes().profiles, grid)[0] == pytest.approx(c0, abs=1e-10)

@@ -47,7 +47,13 @@ def test_expectation_energy_on_levels(cfg, grid):
         assert expectation_energy(psi, cfg) == pytest.approx(landau_energy(cfg, n), abs=1e-10)
 
 
-def test_hamiltonian_with_field_tilts_well(cfg, grid):
+def with_field(h_psi, psi, cfg, ey):
+    """H psi plus the drive's -q E_y y psi, row by row."""
+    tilt = -cfg.q * ey * psi.grid.y * psi.to_modes().profiles
+    return h_psi + Wavefunction.from_modes(ModeStack(psi.grid, tilt, psi.mode_offset))
+
+
+def test_hamiltonian_with_field_tilts_well(cfg, grid, y_stats):
     # an ab loop moves along x only, so the flux stays phi0 and the drive
     # adds just -qE_y y: <H> shifts by -qE_y <y> at fixed state
     psi = landau_eigenstate(cfg, grid, 0, -1)
@@ -55,10 +61,12 @@ def test_hamiltonian_with_field_tilts_well(cfg, grid):
     t = 50.0  # cruise phase, between the ramps
     ey = float(proto.efield(t)[1])
     assert ey == pytest.approx(cfg.B / cfg.c * cfg.l / 90.0, rel=1e-12)
+    assert float(proto.flux(t)) == cfg.phi0
     h0 = apply_hamiltonian(psi, cfg)
-    h1 = apply_hamiltonian(psi, cfg, protocol=proto, t=t)
+    h1 = with_field(h0, psi, cfg, ey)
     de = np.real(inner_product(psi, h1) - inner_product(psi, h0))
-    assert de == pytest.approx(-cfg.q * ey * psi.expectation_y(), rel=1e-10)
+    y_mean = y_stats(psi.to_modes().profiles, grid)[0]
+    assert de == pytest.approx(-cfg.q * ey * y_mean, rel=1e-10)
 
 
 def test_mode_well_matches_gauge_potential(grid):
@@ -73,10 +81,11 @@ def test_mode_well_matches_gauge_potential(grid):
     profiles = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     profiles[rows] = 1.0
     psi = Wavefunction.from_modes(ModeStack(grid, profiles, theta))
-    h_psi = apply_hamiltonian(psi, cfg, protocol=proto, t=t).to_modes().profiles[rows]
-    v_gauge = np.real(h_psi / psi.to_modes().profiles[rows])
     ey = float(proto.efield(t)[1])
     assert ey != 0.0
+    at_t = replace(cfg, phi0=float(proto.flux(t)))
+    h_psi = with_field(apply_hamiltonian(psi, at_t), psi, cfg, ey)
+    v_gauge = np.real(h_psi.to_modes().profiles[rows] / psi.to_modes().profiles[rows])
     b, c = mode_well(cfg, grid.mode_numbers[rows][:, None], float(proto.flux(t)), ey, theta)
     v_well = 0.5 * cfg.m * cfg.omega**2 * (grid.y - b) ** 2 + c
     np.testing.assert_allclose(v_well, v_gauge, rtol=0.0, atol=1e-12 * np.abs(v_gauge).max())
@@ -183,8 +192,7 @@ def stepper_case(cfg, grid, case):
     cfg = replace(cfg, phi0=np.pi / 2)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     if case in ("two_rows", "open_offset_rows"):
-        amps = psi0.amplitudes + landau_eigenstate(cfg, grid, 1, 1).amplitudes
-        psi0 = Wavefunction(grid, amps, 0.0).normalized()
+        psi0 = (psi0 + landau_eigenstate(cfg, grid, 1, 1)).normalized()
     if case == "winding":
         proto = ab_loop_spec(cfg, T=200.0).protocol(cfg)
     elif case == "hold":
@@ -267,7 +275,7 @@ def test_orbit_leaving_window_mid_drive_is_exact(cfg, grid):
     proto = spec.protocol(cfg)
     num = evolve_tdse(psi0, proto).final_state
     ora = evolve_oracle(psi0, proto).final_state
-    assert Wavefunction(grid, num.amplitudes - ora.amplitudes, 0.0).norm() < 1e-10
+    assert (num - ora).norm() < 1e-10
 
 
 def test_kicked_packet_trips_the_rotation_check(cfg, grid):
@@ -292,7 +300,7 @@ def test_shift_across_the_seam_raises(grid):
         evolve_tdse(psi0, proto)
 
 
-def test_hold_scan_exact_on_every_admitted_row(grid):
+def test_hold_scan_exact_on_every_admitted_row(grid, y_stats):
     # driveless holds at T = 500 (rotation pieces of omega h ~ pi/2) from
     # every (n, j) landau_eigenstate admits, at phi0 = pi/2, where row j is
     # centred at 0.25 - j; each state comes back as e^{-i E_n T / hbar}
@@ -308,13 +316,13 @@ def test_hold_scan_exact_on_every_admitted_row(grid):
             except ConfigError:
                 continue
             # construction applies the window rule, so no admitted state is over the gate
-            assert psi0.boundary_mass() <= TRUNCATION_THRESHOLD, (n, j)
+            assert y_stats(psi0.to_modes().profiles, grid)[1] <= TRUNCATION_THRESHOLD, (n, j)
             chi = psi0.to_modes().profiles[grid.mode_row(j)]
             chi = chi / np.sqrt(np.sum(np.abs(chi) ** 2) * grid.dy)
             seam = max(abs(chi[0]), abs(chi[-1]))
             final = evolve_tdse(psi0, proto).final_state
-            want = np.exp(-1j * landau_energy(cfg, n) * T / cfg.hbar) * psi0.amplitudes
-            err = Wavefunction(grid, final.amplitudes - want, 0.0).norm()
+            want = psi0 * np.exp(-1j * landau_energy(cfg, n) * T / cfg.hbar)
+            err = (final - want).norm()
             assert err <= seam + 1e-12, (n, j, err, seam)
             held += 1
     assert held == 15 + 13
@@ -381,8 +389,7 @@ def test_hold_returns_every_row(cfg, grid):
     # e^{-i E_n T / hbar} times itself, like the large one
     T = 3.0
     big, small = (landau_eigenstate(cfg, grid, 0, j) for j in (0, 1))
-    psi0 = Wavefunction(grid, big.amplitudes + 1e-4 * small.amplitudes, big.mode_offset)
-    psi0 = psi0.normalized()
+    psi0 = (big + small * 1e-4).normalized()
     rec = evolve_tdse(psi0, DriveProtocol(cfg=cfg, T=T))
     final = rec.final_state
     want = psi0.to_modes().profiles * np.exp(-1j * landau_energy(cfg, 0) * T / cfg.hbar)
@@ -404,7 +411,7 @@ def test_oracle_rejects_multimode(cfg, grid):
     # equal rows, and a second row with 3.16e-13 of the weight, which
     # evolve_tdse propagates too (it is above OCCUPATION_THRESHOLD)
     for weight in (1.0, 10**-6.25):
-        psi = Wavefunction(grid, a.amplitudes + weight * b.amplitudes, 0.0)
+        psi = a + b * weight
         assert psi.to_modes().occupied_rows(OCCUPATION_THRESHOLD).size == 2
         with pytest.raises(ValueError, match="found 2 occupied"):
             evolve_oracle(psi, DriveProtocol(cfg=cfg, T=1.0))
@@ -430,7 +437,7 @@ def test_oracle_rejects_non_eigen_profile(cfg, grid):
 # --- records and guards ------------------------------------------------------
 
 
-def test_evolution_record_contents(cfg, grid):
+def test_evolution_record_contents(cfg, grid, y_stats):
     path = PathPolyline(((0.0, 0.0), (0.0, 1.5)))
     proto = DriveProtocol.from_path(cfg, path, T=30.0)
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
@@ -439,7 +446,8 @@ def test_evolution_record_contents(cfg, grid):
     assert rec.norm_drift < 1e-12
     # the state rides the moving well to center + R_y(T), up to the
     # coherent ring left by the ramp, amplitude ~ drift speed / omega = 0.06
-    assert rec.final_state.expectation_y() == pytest.approx(mode_center(cfg, 0) + 1.5, abs=0.12)
+    y_mean = y_stats(rec.final_state.to_modes().profiles, grid)[0]
+    assert y_mean == pytest.approx(mode_center(cfg, 0) + 1.5, abs=0.12)
 
 
 def test_truncation_guard_fires(cfg, grid):
