@@ -19,15 +19,14 @@ per interval between breakpoints, all in one segment, so this cuts its
 flux and efield time (six oracle-benchmark drives at seed 77, 2-core host:
 8 ms against 16 ms with every segment summed, 35-43 ms against 83-110 ms
 at dt = 5e-4; a fig1 loop at T = 32 000: 21 ms against 82 ms).
-_flux_and_ey samples flux and E_y at one time in float arithmetic by the
-same formulas, for evolve_oracle's right-hand side, which calls it about
-a thousand times per drive; tests/test_drive.py holds it to 2 ulp of the
-array formulas on random drives.  Between consecutive breakpoints()
-(segment starts and ramp ends) every field is smooth, so no quadrature
-piece of evolve_tdse and no ODE solve of evolve_oracle spans one.  A
-protocol holds no time grid: its optional dt only caps the width of
-evolve_tdse's quadrature pieces, which are exact to rounding without it,
-so no experiment sets it.
+Between consecutive breakpoints() (segment starts and ramp ends) every
+field is smooth, so no quadrature piece of evolve_tdse and no
+sub-interval of evolve_oracle or panel of drift_displacement spans one.
+All three integrate the array formulas on interior nodes, so none sums a
+field at a kink, where a ramp-free velocity counts both segments; the
+last two share chebyshev_rule.  A protocol holds no time grid: its
+optional dt only caps the width of evolve_tdse's quadrature pieces, which
+are exact to rounding without it, so no experiment sets it.
 
 The drift kinetic action
 
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,6 +54,9 @@ from .magtrans import Displacement, PathPolyline
 __all__ = ["SegmentSchedule", "DriveProtocol", "drift_displacement"]
 
 KINK_GAP = 1e-12  # times closer than KINK_GAP * T are one breakpoint; no slot is that short
+# nodes of chebyshev_rule (degree 16) in evolve_oracle and drift_displacement:
+# one interval's smooth field, and a cyclotron angle of 1, resolved to rounding
+CHEBYSHEV_NODES = 17
 
 
 def _ramp_progress_raw(tau: np.ndarray, Ts: float, Tr: float) -> np.ndarray:
@@ -82,30 +84,6 @@ def _ramp_velocity_raw(tau: np.ndarray, Ts: float, Tr: float) -> np.ndarray:
         tau > Ts - Tr, np.sin(np.pi * np.clip(Ts - tau, 0, Tr) / (2.0 * Tr)) ** 2, out
     )
     return np.where((tau < 0.0) | (tau > Ts), 0.0, out)
-
-
-def _ramp_progress_float(tau: float, Ts: float, Tr: float) -> float:
-    """_ramp_progress_raw at one tau in [0, Ts], in the same operations."""
-    if Tr == 0.0:
-        return tau
-    head = min(tau, Tr)
-    out = head / 2.0 - (Tr / (2.0 * math.pi)) * math.sin(math.pi * head / Tr)
-    out = out + min(max(tau - Tr, 0.0), Ts - 2.0 * Tr)
-    tail = min(max(tau - (Ts - Tr), 0.0), Tr)
-    return out + tail / 2.0 + (Tr / (2.0 * math.pi)) * math.sin(math.pi * tail / Tr)
-
-
-def _ramp_velocity_float(tau: float, Ts: float, Tr: float) -> float:
-    """_ramp_velocity_raw at one tau in [0, Ts], in the same operations."""
-    if Tr == 0.0:
-        return 1.0
-    if tau > Ts - Tr:
-        s = math.sin(math.pi * min(max(Ts - tau, 0.0), Tr) / (2.0 * Tr))
-    elif tau < Tr:
-        s = math.sin(math.pi * min(max(tau, 0.0), Tr) / (2.0 * Tr))
-    else:
-        return 1.0
-    return s * s
 
 
 @dataclass(frozen=True)
@@ -260,27 +238,6 @@ class DriveProtocol:
             vy = vy + seg.delta.ry * w
         return vx, vy
 
-    def _flux_and_ey(self, t: float) -> tuple[float, float]:
-        """(flux(t), efield(t)[1]) at one float time, in float arithmetic.
-
-        The segments are visited as in _acting and summed in the same order
-        with the same formulas, so E_y keeps its bits and the flux moves by
-        at most an ulp where math.sin and np.sin round apart.
-        """
-        ry = vx = 0.0
-        for seg in self.segments:
-            if t < seg.t_start:
-                break
-            tau = t - seg.t_start
-            Ts, Tr = seg.duration, seg.ramp_time
-            if tau > Ts:
-                ry = ry + seg.delta.ry * float(seg.done)
-                continue
-            ry = ry + seg.delta.ry * (_ramp_progress_float(tau, Ts, Tr) / (Ts - Tr))
-            vx = vx + seg.delta.rx * (_ramp_velocity_float(tau, Ts, Tr) / (Ts - Tr))
-        cfg = self.cfg
-        return cfg.phi0 + cfg.l * cfg.B * ry, cfg.B / cfg.c * vx
-
     def efield(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(E_x, E_y) at time(s) t."""
         vx, vy = self.velocity(t)
@@ -300,25 +257,43 @@ class DriveProtocol:
         )
 
 
+@cache
+def chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x of n-point Chebyshev-Gauss on [-1, 1], ascending, and Q, (n + 1, n):
+    Q[k] @ g integrates the interpolant of samples g from -1 up to x_k, and
+    Q[n] @ g to +1 (Fejer's first rule).  The nodes are interior, so no
+    panel between breakpoints samples a kink.  Plain numpy, in x = cos(theta):
+    node l's Lagrange polynomial is sum_d (2 / n) T_d(x_l) T_d (halved at
+    d = 0), and T_d integrates to (T_{d+1} / (d + 1) - T_{d-1} / (d - 1)) / 2.
+    """
+    d = np.arange(n)
+    theta = np.pi * (1.0 - (d + 0.5) / n)
+    c = (2.0 / n) * np.cos(d[:, None] * theta)
+    c[0] *= 0.5
+
+    def antiderivative(at):  # of each T_d at x = cos(at); d = 1's constant is dropped
+        at = np.asarray(at)[..., None]
+        down = np.cos((d - 1) * at) / np.where(d == 1, np.inf, d - 1)
+        return 0.5 * (np.cos((d + 1) * at) / (d + 1) - down)
+
+    integrals = antiderivative(np.append(theta, 0.0)) - antiderivative(np.pi)
+    return np.cos(theta), np.einsum("kd,dl->kl", integrals, c)
+
+
 def drift_displacement(protocol: DriveProtocol, t: float) -> Displacement:
     """Drift displacement at time t by direct quadrature of the fields.
 
-    Independent of the closed forms inside DriveProtocol (those are cross
-    checked against this in the test suite).  Relative accuracy ~1e-10.
+    Independent of the closed forms inside DriveProtocol (the tests cross
+    check them against this): one chebyshev_rule panel per interval between
+    breakpoints up to t samples the array efield, summed by Fejer weights.
     """
-    from scipy import integrate  # imported here so the package starts on numpy alone
-
     if not 0.0 <= t <= protocol.T * (1.0 + 1e-12):
         raise ConfigError(f"t = {t} outside the protocol window [0, {protocol.T}]")
     scale = protocol.cfg.c / protocol.cfg.B
-
-    def ey(tau):
-        return protocol.efield(tau)[1]
-
-    def ex(tau):
-        return protocol.efield(tau)[0]
-
-    breaks = [s.t_start for s in protocol.segments if 0.0 < s.t_start < t] or None
-    rx, _ = integrate.quad(ey, 0.0, t, epsabs=1e-13, epsrel=1e-11, limit=400, points=breaks)
-    ry, _ = integrate.quad(ex, 0.0, t, epsabs=1e-13, epsrel=1e-11, limit=400, points=breaks)
-    return Displacement(scale * rx, -scale * ry)
+    x, q = chebyshev_rule(CHEBYSHEV_NODES)
+    times = protocol.breakpoints()
+    lo = times[:-1][times[:-1] < t]
+    half = 0.5 * (np.minimum(times[1:lo.size + 1], t) - lo)[:, None]
+    ex, ey = protocol.efield(lo[:, None] + half * (x + 1.0))
+    w = half * q[-1]
+    return Displacement(scale * float(np.sum(ey * w)), -scale * float(np.sum(ex * w)))

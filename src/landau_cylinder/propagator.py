@@ -36,8 +36,9 @@ evolve_oracle is the independent exact reference for Gaussian states: a
 displaced oscillator eigenstate stays a displaced eigenstate, rigidly
 transported along the classical trajectory and dressed by the classical
 action, for any drive strength, so no adiabatic assumption is involved.
-Its classical ODE samples the drive in float arithmetic and takes no
-force integral from evolve_tdse.
+It solves that classical ODE by Chebyshev-Picard iteration on
+drive.chebyshev_rule's nodes, sampling the drive's array formulas, and
+takes no force integral, quadrature rule or piece width from evolve_tdse.
 
 Both refuse a grid whose circumference is not the config's l.  The
 adiabatic factorization U = g M(C) D U_eps needs no propagator of its own:
@@ -55,7 +56,7 @@ import numpy as np
 
 from .core import (OCCUPATION_THRESHOLD, ModeStack, PhysicsConfig, Wavefunction, check_window,
                    inner_product)
-from .drive import DriveProtocol
+from .drive import CHEBYSHEV_NODES, DriveProtocol, chebyshev_rule
 from .eigenstates import hermite_profile, mode_center, mode_well
 
 __all__ = [
@@ -72,7 +73,10 @@ __all__ = [
 # rotation's potential factors well conditioned
 MAX_PIECE_ANGLE = np.pi / 2
 GAUSS_NODES = 10
-ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
+# evolve_oracle's longest sub-interval, as omega * h, and its Picard sweeps on
+# each: twelve already reach rounding with drive.CHEBYSHEV_NODES, eight do not
+ORACLE_PIECE_ANGLE = 1.0
+ORACLE_SWEEPS = 16
 
 
 def apply_hamiltonian(psi: Wavefunction, cfg: PhysicsConfig) -> Wavefunction:
@@ -294,6 +298,48 @@ class OracleResult:
     final_state: Wavefunction
 
 
+def _classical_orbit(protocol: DriveProtocol, j: int, theta: float, y0: float,
+                     p0: float) -> tuple[float, float, float]:
+    """(y, p, S) at T of the orbit from (y0, p0) in mode j's well, S its action.
+
+    In equal sub-intervals of omega h <= ORACLE_PIECE_ANGLE of each smooth
+    interval between breakpoints, where the drive is sampled once at
+    chebyshev_rule's nodes, ORACLE_SWEEPS Gauss-Seidel Picard sweeps set
+    y = y0 + int p / m, then p = p0 + int (f - m omega^2 y) (Clenshaw &
+    Norton, Comput. J. 6, 88 (1963)); the rule's last row carries (y, p)
+    to the sub-interval's end and adds its action.
+    """
+    cfg = protocol.cfg
+    omega = cfg.omega
+    m, stiffness = cfg.m, cfg.m * omega**2
+    x, rule = chebyshev_rule(CHEBYSHEV_NODES)
+    y_T, p_T, action_T = y0, p0, 0.0
+    times = protocol.breakpoints()
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n_sub = int(np.ceil(omega * (t1 - t0) / ORACLE_PIECE_ANGLE))
+        h = (t1 - t0) / n_sub
+        t = t0 + h * (np.arange(n_sub)[:, None] + 0.5 * (x + 1.0))
+        # the well m omega^2 (y - b)^2 / 2 + C is the linear drive f y plus g
+        b, c = mode_well(cfg, j, protocol.flux(t), protocol.efield(t)[1], theta)
+        f = stiffness * b
+        g = c + 0.5 * f * b
+        q = 0.5 * h * rule
+        # one einsum per half sweep, not @, which would load BLAS (peak memory)
+        q_y, q_p = q / m, -stiffness * q
+        for f_k, g_k in zip(f, g):
+            # at the nodes, then the sub-interval's end (the rule's last row)
+            ps = np.full(x.size + 1, p_T)
+            p_forced = p_T + np.einsum("kl,l", q, f_k)
+            for _ in range(ORACLE_SWEEPS):
+                ys = y_T + np.einsum("kl,l", q_y, ps[:-1])
+                ps = p_forced + np.einsum("kl,l", q_p, ys[:-1])
+            yn, pn = ys[:-1], ps[:-1]
+            lagr = pn * pn / (2.0 * m) - 0.5 * stiffness * yn * yn + f_k * yn - g_k
+            action_T += np.einsum("l,l", q[-1], lagr)
+            y_T, p_T = ys[-1], ps[-1]
+    return y_T, p_T, action_T
+
+
 def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     """Exact evolution for a displaced oscillator eigenstate in one mode.
 
@@ -306,16 +352,8 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
     with (y_cl, p_cl) the classical solution started on the state's moments
     and S_cl the Lagrangian action of the linearly-driven well.  The input
     is validated against the displaced-eigenstate ansatz; anything else is
-    rejected (this oracle is exact only on that family).
-
-    (y_cl, p_cl, S_cl) are integrated by DOP853 in one call per interval
-    between the protocol's breakpoints, each started from the end of the
-    one before: inside an interval the force is smooth, so the integrator
-    keeps its order (phase error ~1e-13 against a rerun at rtol 3e-14 on
-    the criterion-7 drives, T = 500 rectangle loop included, where one call
-    over [0, T] gave 1.4e-10).  The right-hand side reads flux and E_y from
-    DriveProtocol._flux_and_ey, the drive's float sampler, which costs a
-    fraction of the array calls flux(t) and efield(t).
+    rejected (this oracle is exact only on that family).  _classical_orbit
+    gives (y_cl, p_cl, S_cl), good to ~1e-13 in state.
     """
     cfg = protocol.cfg
     grid = psi0.grid
@@ -358,30 +396,8 @@ def evolve_oracle(psi0: Wavefunction, protocol: DriveProtocol) -> OracleResult:
             f"input is not a displaced oscillator eigenstate (overlap {abs(c0):.2e})"
         )
 
-    from scipy.integrate import solve_ivp  # imported here so the package starts on numpy alone
-
     theta = stack.mode_offset
-    stiffness = cfg.m * omega**2
-
-    def rhs(t, z):
-        # the well m omega^2 (y - b)^2 / 2 + C is the linear drive f y plus c
-        yc, pc, _ = z
-        b, c = mode_well(cfg, j, *protocol._flux_and_ey(float(t)), theta)
-        f = stiffness * b
-        lagr = pc * pc / (2.0 * cfg.m) - 0.5 * stiffness * yc * yc + f * yc
-        return [pc / cfg.m, -stiffness * yc + f, lagr - (c + 0.5 * f * b)]
-
-    z = np.array([y_bar, p_bar, 0.0])
-    times = protocol.breakpoints()
-    for t0, t1 in zip(times[:-1], times[1:]):
-        sol = solve_ivp(
-            rhs, (t0, t1), z, method="DOP853",
-            rtol=ORACLE_RTOL, atol=ORACLE_ATOL, max_step=protocol.T / 16,
-        )
-        if not sol.success:
-            raise RuntimeError(f"classical oracle integration failed: {sol.message}")
-        z = sol.y[:, -1]
-    y_T, p_T, action_T = z
+    y_T, p_T, action_T = _classical_orbit(protocol, j, theta, y_bar, p_bar)
 
     phase = action_T / cfg.hbar - omega * (n + 0.5) * protocol.T + np.angle(c0)
     prof_T = hermite_profile(cfg, y, y_T, n) * np.exp(1j * p_T * (y - y_T) / cfg.hbar)

@@ -37,20 +37,27 @@ def write_config(tmp_path, payload):
     return p
 
 
-def test_cold_start_needs_no_scipy_integrate():
-    # only the oracle and drift_displacement use scipy (its integrate
-    # module); they import it on call, so the CLI starts on numpy alone
+def test_oracle_and_drift_checks_run_without_scipy():
+    # scipy is a test dependency only: with it unimportable, the CLI starts
+    # and the two rows that integrate the drive outside evolve_tdse pass
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     code = (
-        "import sys, landau_cylinder.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; sys.modules['scipy'] = None\n"
+        "import landau_cylinder.cli\n"
+        "from landau_cylinder.verify import CHECKS\n"
+        "for c in CHECKS:\n"
+        "    if c.name in ('oracle_equivalence', 'drift_quadrature'):\n"
+        "        print(c.name, *c.run(c.full if c.quick is None else c.quick, c.seed))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    rows = out.stdout.splitlines()
+    assert [row.split()[:2] for row in rows] == [
+        ["oracle_equivalence", "True"], ["drift_quadrature", "True"]
+    ], rows
 
 
 # --- config resolution -------------------------------------------------
