@@ -1,11 +1,4 @@
-"""Command-line front end.
-
-Subcommands:
-  eigen            tabulate Landau levels on the cylinder (CSV)
-  run              one cyclic transport experiment (JSON + CSV row)
-  sweep            Berry phase vs threading flux (CSV + fit JSON)
-  adiabatic-study  phase/fidelity/factorization error vs drive duration
-  verify           every row of verify.py's self-check table, on its quick inputs if any
+"""Command-line front end; `_COMMANDS` lists the subcommands.
 
 All outputs are deterministic for a fixed config and seed: files embed the
 resolved config (never wall-clock data), floats are written with 17
@@ -82,34 +75,54 @@ DEFAULT_CONFIG = {
     "eigen": {"n_max": 2, "j_max": 2},
 }
 
-_EXPERIMENT_KINDS = ("ab_loop", "general_loop", "fig1")
+
+def _schedule(conf: dict) -> dict:
+    """The LoopSpec fields, beyond geometry and T, shared by every experiment kind."""
+    e = conf["experiment"]
+    return dict(n=e["n"], j=e["j"], ramp_fraction=e["ramp_fraction"])
+
+
+def _ab_spec(conf: dict, cfg: PhysicsConfig) -> LoopSpec:
+    e = conf["experiment"]
+    return replace(ab_loop_spec(cfg, e["T"], winding=e["winding"]), **_schedule(conf))
+
+
+def _run_ab(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
+    return [run_loop(cfg, grid, _ab_spec(conf, cfg), conf["experiment"]["min_fidelity"])]
+
+
+def _run_rectangle(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
+    e = conf["experiment"]
+    spec = replace(rectangle_loop_spec(cfg, e["height"], e["T"]), **_schedule(conf))
+    return [run_loop(cfg, grid, spec, e["min_fidelity"])]
+
+
+def _run_fig1(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
+    e = conf["experiment"]
+    return run_fig1_comparison(cfg, grid, e["phi_B"], e["T"], min_fidelity=e["min_fidelity"],
+                               **_schedule(conf))
+
+
+# experiment.kind -> the results `run` writes
+_EXPERIMENTS = {"ab_loop": _run_ab, "general_loop": _run_rectangle, "fig1": _run_fig1}
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 
-# section -> key -> (type, optional (test, message)), checked in this order.
-# `str` values are kept as given.
-_RULES = {
-    "physics": dict.fromkeys(DEFAULT_CONFIG["physics"], (float, None)),
-    "grid": {"Nx": (int, None), "Ny": (int, None), "y_min": (float, None), "y_max": (float, None)},
-    "experiment": {
-        "kind": (str, (lambda v: v in _EXPERIMENT_KINDS, f"must be one of {_EXPERIMENT_KINDS}")),
-        "T": (float, _POSITIVE),
-        "n": (int, _NON_NEGATIVE),
-        "j": (int, None),
-        "ramp_fraction": (float, (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]")),
-        "min_fidelity": (float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
-        "winding": (int, (lambda v: v != 0, "must be a nonzero integer")),
-        "height": (float, None),
-        "phi_B": (float, _NON_NEGATIVE),
-    },
-    "sweep": {
-        "phi_min": (float, None),
-        "phi_max": (float, None),
-        "num": (int, (lambda v: v >= 2, "need at least two flux points")),
-    },
-    "study": {"T_values": (list[float], _POSITIVE)},
-    "eigen": {"n_max": (int, _NON_NEGATIVE), "j_max": (int, _NON_NEGATIVE)},
+# "section.key" -> (test, message); each key's type is that of its default.
+# The kind is looked up in a tuple, so a list value is refused, not unhashable.
+_BOUNDS = {
+    "experiment.kind": (lambda v: v in tuple(_EXPERIMENTS), f"must be one of {tuple(_EXPERIMENTS)}"),
+    "experiment.T": _POSITIVE,
+    "experiment.n": _NON_NEGATIVE,
+    "experiment.ramp_fraction": (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]"),
+    "experiment.min_fidelity": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "experiment.winding": (lambda v: v != 0, "must be a nonzero integer"),
+    "experiment.phi_B": _NON_NEGATIVE,
+    "sweep.num": (lambda v: v >= 2, "need at least two flux points"),
+    "study.T_values": _POSITIVE,
+    "eigen.n_max": _NON_NEGATIVE,
+    "eigen.j_max": _NON_NEGATIVE,
 }
 # (lower, upper) keys that must be strictly ordered, checked after their section
 _ORDERED = {"grid": ("y_min", "y_max"), "sweep": ("phi_min", "phi_max")}
@@ -124,35 +137,34 @@ def _as_number(path: str, value, *, integer=False):
         raise _fail(path, "required key missing or null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {type(value).__name__}")
-    if integer:
-        if isinstance(value, float) and not value.is_integer():
-            raise _fail(path, f"expected an integer, got {value!r}")
-        return int(value)
-    v = float(value)
+    if integer and isinstance(value, float) and not value.is_integer():
+        raise _fail(path, f"expected an integer, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer too large for any float
+        v = math.inf
     if not math.isfinite(v):
         raise _fail(path, "must be finite")
-    return v
+    return int(value) if integer else v
 
 
-def _check(path: str, value, kind, rule):
-    """Convert one config value to its rule-table type, then apply its rule."""
-    if kind == list[float]:
+def _check(path: str, value, default, bound):
+    """Convert one config value to its default's type, then apply its bound."""
+    if isinstance(default, list):
         if not isinstance(value, (list, tuple)) or not value:
             raise _fail(path, "expected a non-empty list of durations")
-        # every element's type is checked before any element's rule
+        # every element's type is checked before any element's bound
         values = [_as_number(f"{path}[{i}]", v) for i, v in enumerate(value)]
-        return [_check(f"{path}[{i}]", v, float, rule) for i, v in enumerate(values)]
-    if kind is not str:
-        value = _as_number(path, value, integer=kind is int)
-    if rule is not None and not rule[0](value):
-        raise _fail(path, rule[1])
+        return [_check(f"{path}[{i}]", v, default[0], bound) for i, v in enumerate(values)]
+    if not isinstance(default, str):
+        value = _as_number(path, value, integer=isinstance(default, int))
+    if bound is not None and not bound[0](value):
+        raise _fail(path, bound[1])
     return value
 
 
 def _section(raw: dict, name: str, default: dict, required_keys) -> dict:
-    sect = raw.get(name, None)
-    if sect is None:
-        sect = {}
+    sect = {} if raw.get(name) is None else raw[name]
     if not isinstance(sect, dict):
         raise _fail(name, f"expected an object, got {type(sect).__name__}")
     for key in sect:
@@ -161,9 +173,7 @@ def _section(raw: dict, name: str, default: dict, required_keys) -> dict:
     for key in required_keys:
         if key not in sect:
             raise _fail(f"{name}.{key}", "required key missing")
-    merged = dict(default)
-    merged.update(sect)
-    return merged
+    return {**default, **sect}
 
 
 def resolve_config(raw: dict) -> dict:
@@ -181,11 +191,12 @@ def resolve_config(raw: dict) -> dict:
             raise _fail(key, "unknown section")
 
     conf = {}
-    for name, rules in _RULES.items():
-        required = tuple(rules) if name in ("physics", "grid") and name in raw else ()
-        sect = conf[name] = _section(raw, name, DEFAULT_CONFIG[name], required)
-        for key, (kind, rule) in rules.items():
-            sect[key] = _check(f"{name}.{key}", sect[key], kind, rule)
+    for name, default in DEFAULT_CONFIG.items():
+        required = tuple(default) if name in ("physics", "grid") and name in raw else ()
+        sect = conf[name] = _section(raw, name, default, required)
+        for key in default:
+            path = f"{name}.{key}"
+            sect[key] = _check(path, sect[key], default[key], _BOUNDS.get(path))
         if name in _ORDERED:
             lower, upper = _ORDERED[name]
             if sect[lower] >= sect[upper]:
@@ -258,33 +269,10 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
     return 0
 
 
-def _schedule(conf: dict) -> dict:
-    """The LoopSpec fields, beyond geometry and T, shared by every experiment kind."""
-    e = conf["experiment"]
-    return dict(n=e["n"], j=e["j"], ramp_fraction=e["ramp_fraction"])
-
-
-def _ab_spec(conf: dict, cfg: PhysicsConfig) -> LoopSpec:
-    e = conf["experiment"]
-    return replace(ab_loop_spec(cfg, e["T"], winding=e["winding"]), **_schedule(conf))
-
-
-def _run_experiment(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
-    e = conf["experiment"]
-    if e["kind"] == "fig1":
-        return run_fig1_comparison(cfg, grid, e["phi_B"], e["T"], min_fidelity=e["min_fidelity"],
-                                   **_schedule(conf))
-    if e["kind"] == "ab_loop":
-        spec = _ab_spec(conf, cfg)
-    else:
-        spec = replace(rectangle_loop_spec(cfg, e["height"], e["T"]), **_schedule(conf))
-    return [run_loop(cfg, grid, spec, e["min_fidelity"])]
-
-
 def cmd_run(conf: dict, out: Path, args) -> int:
     cfg = build_physics(conf)
     grid = build_grid(conf, cfg)
-    results = _run_experiment(conf, cfg, grid)
+    results = _EXPERIMENTS[conf["experiment"]["kind"]](conf, cfg, grid)
     write_csv(out / "run.csv", ExperimentResult.CSV_COLUMNS,
               [r.csv_row() for r in results], conf)
     write_json(out / "run.json", {"results": [r.to_dict() for r in results]}, conf)
@@ -351,6 +339,16 @@ def cmd_verify(conf: dict, out: Path, args) -> int:
     return 0 if not failed else 1
 
 
+# subcommand -> (function, help); the parser is built from this table
+_COMMANDS = {
+    "eigen": (cmd_eigen, "tabulate Landau levels (CSV)"),
+    "run": (cmd_run, "run one transport experiment"),
+    "sweep": (cmd_sweep, "Berry phase vs threading flux"),
+    "adiabatic-study": (cmd_study, "convergence with drive duration"),
+    "verify": (cmd_verify, "self-checks, on quick inputs where a check has them"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="landau-cylinder",
@@ -365,21 +363,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--print-default-config", action="store_true",
                         help="print the default config as JSON and exit")
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("eigen", help="tabulate Landau levels (CSV)")
-    sub.add_parser("run", help="run one transport experiment")
-    sub.add_parser("sweep", help="Berry phase vs threading flux")
-    sub.add_parser("adiabatic-study", help="convergence with drive duration")
-    sub.add_parser("verify", help="self-checks, on quick inputs where a check has them")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
-_COMMANDS = {
-    "eigen": cmd_eigen,
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "adiabatic-study": cmd_study,
-    "verify": cmd_verify,
-}
+def _read_config(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+
+
+def _make_out(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {out}: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:
@@ -393,28 +395,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
 
-    raw = {}
-    if args.config is not None:
-        try:
-            raw = json.loads(args.config.read_text())
-        except FileNotFoundError:
-            print(f"error: config file not found: {args.config}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-
     try:
-        conf = resolve_config(raw)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        return _COMMANDS[args.command](conf, out, args)
+        conf = resolve_config({} if args.config is None else _read_config(args.config))
+        _make_out(args.out)
+        return _COMMANDS[args.command][0](conf, args.out, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

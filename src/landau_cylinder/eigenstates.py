@@ -102,11 +102,16 @@ def displaced_gaussian(
     """
     row = grid.mode_row(j)
     profiles = np.zeros((grid.Nx, grid.Ny), dtype=complex)
-    # a centre far off the window or not finite gives zeros or NaNs, which the rule refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        profiles[row] = hermite_profile(cfg, grid.y, center, n) * np.exp(
-            1j * momentum * (grid.y - center) / cfg.hbar
-        )
+    # a level whose classical turning points leave the window keeps a zero row,
+    # which the rule refuses without running the n-step recurrence (a negative n
+    # is left to hermite_profile, which refuses it)
+    reach = np.sqrt(max(2 * n + 1, 1) * cfg.hbar / (cfg.m * cfg.omega))
+    if not (center - reach < grid.y_min or center + reach > grid.y_max):
+        # a centre or momentum that is not finite gives NaNs, which the rule refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            profiles[row] = hermite_profile(cfg, grid.y, center, n) * np.exp(
+                1j * momentum * (grid.y - center) / cfg.hbar
+            )
     try:
         check_window(profiles[row:row + 1], grid, f"level {n} of mode {j} at y = {center:g}")
     except TruncationError as exc:

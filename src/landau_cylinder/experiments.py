@@ -77,7 +77,7 @@ def berry_phase(
     """
     overlap = inner_product(psi0, psi_T)
     fidelity = abs(overlap) / (psi0.norm() * psi_T.norm())
-    if fidelity < min_fidelity:
+    if not fidelity >= min_fidelity:  # a NaN fidelity fails the gate
         raise NonCyclicEvolutionError(
             f"return fidelity {fidelity:.6f} below gate {min_fidelity}; "
             "the evolution is not cyclic enough for a phase readout"
@@ -238,20 +238,18 @@ def run_fig1_comparison(
     grid: CylinderGrid,
     phi_B: float,
     T: float,
-    n: int = 0,
-    j: int = 0,
-    ramp_fraction: float = 0.1,
     min_fidelity: float = DEFAULT_FIDELITY_GATE,
+    **schedule,
 ) -> tuple[ExperimentResult, ExperimentResult]:
     """(blue, green): two loops, same threading flux, opposite contractible excursions.
 
     At phi = phi_B the blue loop (total enclosed flux phi + phi_B) returns
     zero geometric phase, while the green loop (total enclosed flux zero)
     returns 2 q phi / hbar c: the phase follows the winding flux minus the
-    surface flux, not the total.
+    surface flux, not the total.  `schedule` sets LoopSpec's n, j and
+    ramp_fraction; LoopSpec's own defaults stand for the rest.
     """
     specs = (fig1_loop_spec(cfg, v, phi_B, T) for v in ("blue", "green"))
-    schedule = dict(n=n, j=j, ramp_fraction=ramp_fraction)
     return tuple(run_loop(cfg, grid, replace(s, **schedule), min_fidelity) for s in specs)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from landau_cylinder import CylinderGrid, DriveProtocol, LoopSpec
 from landau_cylinder.cli import (
-    _RULES,
+    _BOUNDS,
     DEFAULT_CONFIG,
     build_grid,
     build_physics,
@@ -147,8 +147,12 @@ CONFIG_MESSAGES = [
      f"experiment.kind: must be one of {_KINDS}"),
     ("experiment.kind1", {"experiment": {"kind": None}},
      f"experiment.kind: must be one of {_KINDS}"),
+    ("experiment.kind2", {"experiment": {"kind": ["fig1"]}},
+     f"experiment.kind: must be one of {_KINDS}"),
     ("experiment.T0", {"experiment": {"T": None}}, "experiment.T: required key missing or null"),
     ("experiment.T1", {"experiment": {"T": 0.0}}, "experiment.T: must be positive"),
+    # a JSON integer of 401 digits, which no float can hold
+    ("experiment.T2", {"experiment": {"T": 10**400}}, "experiment.T: must be finite"),
     ("experiment.dt", {"experiment": {"dt": 0.1}}, "experiment.dt: unknown key"),
     ("experiment.n", {"experiment": {"n": -1}}, "experiment.n: must be non-negative"),
     ("experiment.j", {"experiment": {"j": 0.5}}, "experiment.j: expected an integer, got 0.5"),
@@ -190,11 +194,11 @@ def test_config_error_messages(raw, message):
     assert str(info.value) == message
 
 
-def test_rule_table_has_exactly_the_default_keys():
-    # a new default key without a rule fails here
-    assert set(_RULES) == set(DEFAULT_CONFIG)
-    for name, rules in _RULES.items():
-        assert set(rules) == set(DEFAULT_CONFIG[name]), name
+def test_every_bound_names_a_default_key():
+    # a misspelt key would otherwise leave its value unbounded without notice
+    for path in _BOUNDS:
+        section, key = path.split(".")
+        assert key in DEFAULT_CONFIG[section], path
 
 
 def test_nonpositive_field_rejected_with_section():
@@ -235,6 +239,15 @@ def test_resolve_error_exits_2_before_making_out(tmp_path, capsys):
     assert main(["--config", str(cfgfile), "--out", str(out), "run"]) == 2
     assert capsys.readouterr().err == "error: experiment.zeta: unknown key\n"
     assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["--out", str(out), "eigen"]) == 2
+    assert capsys.readouterr().err == f"error: --out: cannot create directory {out}: File exists\n"
+    assert out.read_text() == "not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_grid_build_error_exits_2(tmp_path, capsys):

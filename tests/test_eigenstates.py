@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from landau_cylinder import (
     landau_energy,
     mode_center,
 )
-from landau_cylinder.core import TRUNCATION_THRESHOLD
+from landau_cylinder import eigenstates
+from landau_cylinder.core import TRUNCATION_THRESHOLD, TruncationError, check_window
 
 
 # --- guiding centers --------------------------------------------------
@@ -138,6 +140,37 @@ def test_admission_is_the_window_rule(grid, y_stats):
     for center, n in ((1e3, 0), (1e200, 0), (np.inf, 1), (np.nan, 0)):
         with pytest.raises(ConfigError, match="y boundary"):
             displaced_gaussian(cfg, grid, 0, center, n=n)
+
+
+def test_turning_points_refuse_no_admitted_level(cfg, grid):
+    # displaced_gaussian refuses a level whose classical turning points
+    # center +- sqrt((2n+1) hbar / m omega) leave the window before building
+    # it; every (centre, n) the window rule admits has both well inside
+    centers = np.linspace(grid.y_min, grid.y_max, 97)
+    margins = []
+    for n in range(60):
+        reach = np.sqrt((2 * n + 1) * cfg.hbar / (cfg.m * cfg.omega))
+        for center, prof in zip(centers, hermite_profile(cfg, grid.y, centers[:, None], n)):
+            try:
+                check_window(prof[None, :], grid, "scan")
+            except TruncationError:
+                continue
+            margins.append(min(center - reach - grid.y_min, grid.y_max - center - reach))
+    assert len(margins) > 1000  # 1149 admitted pairs, up to n = 47 at y = 0
+    assert min(margins) > 2.0  # 2.17
+
+
+def test_huge_level_is_refused_before_its_recurrence(cfg, grid, monkeypatch):
+    # at n = 1e9 the recurrence would run for about two hours before the
+    # window rule refused the level
+    def recurrence(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(eigenstates, "hermite_profile", recurrence)
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="y boundary in level 1000000000 of mode 0"):
+        displaced_gaussian(cfg, grid, 0, 0.0, n=10**9)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_spectral_flow_identity(cfg, grid):

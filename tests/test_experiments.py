@@ -44,6 +44,14 @@ def test_berry_phase_gate(cfg, grid):
     assert berry_phase(psi0, other, 0.5, 1.0, cfg, min_fidelity=0.0)[1] < 0.99
 
 
+@pytest.mark.parametrize("min_fidelity", [0.99, 0.0])
+def test_berry_phase_refuses_a_nan_state(cfg, grid, min_fidelity):
+    # a NaN fidelity fails the gate, even the study's bypass, instead of a NaN row
+    psi0 = landau_eigenstate(cfg, grid, 0, 0)
+    with pytest.raises(NonCyclicEvolutionError, match="fidelity nan"):
+        berry_phase(psi0, psi0 * np.nan, 0.5, 1.0, cfg, min_fidelity=min_fidelity)
+
+
 # --- loop geometry builders ----------------------------------------------
 
 
