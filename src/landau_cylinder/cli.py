@@ -16,7 +16,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,66 +45,41 @@ from .verify import run_all_checks
 
 __all__ = ["main", "DEFAULT_CONFIG", "resolve_config"]
 
+# LoopSpec's fields beyond geometry and T, shared by every experiment kind
+_SCHEDULE = {f.name: f.default for f in fields(LoopSpec) if f.default is not MISSING}
+
 DEFAULT_CONFIG = {
-    "physics": {
-        "hbar": 1.0,
-        "q": 1.0,
-        "m": 1.0,
-        "c": 1.0,
-        "B": 1.0,
-        "phi0": math.pi / 2,
-        "l": 2 * math.pi,
-    },
+    # PhysicsConfig's defaults, with a quarter turn of threading flux
+    "physics": {**{f.name: f.default for f in fields(PhysicsConfig)}, "phi0": math.pi / 2},
     # CylinderGrid.for_config's defaults, so the CLI and the library share one grid
     "grid": {name: p.default
              for name, p in inspect.signature(CylinderGrid.for_config).parameters.items()
              if p.default is not p.empty},
-    "experiment": {
-        "kind": "ab_loop",
-        "T": 200.0,
-        "n": 0,
-        "j": 0,
-        "ramp_fraction": 0.1,
-        "min_fidelity": 0.99,
-        "winding": 1,
-        "height": 0.5,
-        "phi_B": math.pi / 2,
-    },
+    "experiment": {"kind": "ab_loop", "T": 200.0, **_SCHEDULE,
+                   "winding": 1, "height": 0.5, "phi_B": math.pi / 2},
     "sweep": {"phi_min": 0.0, "phi_max": 4 * math.pi, "num": 17},
     "study": {"T_values": [25.0, 50.0, 100.0, 200.0]},
     "eigen": {"n_max": 2, "j_max": 2},
 }
 
 
-def _schedule(conf: dict) -> dict:
-    """The LoopSpec fields, beyond geometry and T, shared by every experiment kind."""
-    e = conf["experiment"]
-    return dict(n=e["n"], j=e["j"], ramp_fraction=e["ramp_fraction"])
+def _schedule(e: dict) -> dict:
+    """The experiment section's LoopSpec schedule fields."""
+    return {key: e[key] for key in _SCHEDULE}
 
 
-def _ab_spec(conf: dict, cfg: PhysicsConfig) -> LoopSpec:
-    e = conf["experiment"]
-    return replace(ab_loop_spec(cfg, e["T"], winding=e["winding"]), **_schedule(conf))
+def _ab_spec(e: dict, cfg: PhysicsConfig) -> LoopSpec:
+    return replace(ab_loop_spec(cfg, e["T"], winding=e["winding"]), **_schedule(e))
 
 
-def _run_ab(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
-    return [run_loop(cfg, grid, _ab_spec(conf, cfg), conf["experiment"]["min_fidelity"])]
-
-
-def _run_rectangle(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
-    e = conf["experiment"]
-    spec = replace(rectangle_loop_spec(cfg, e["height"], e["T"]), **_schedule(conf))
-    return [run_loop(cfg, grid, spec, e["min_fidelity"])]
-
-
-def _run_fig1(conf: dict, cfg: PhysicsConfig, grid: CylinderGrid):
-    e = conf["experiment"]
-    return run_fig1_comparison(cfg, grid, e["phi_B"], e["T"], min_fidelity=e["min_fidelity"],
-                               **_schedule(conf))
-
-
-# experiment.kind -> the results `run` writes
-_EXPERIMENTS = {"ab_loop": _run_ab, "general_loop": _run_rectangle, "fig1": _run_fig1}
+# experiment.kind -> the results `run` writes, from the experiment section
+_EXPERIMENTS = {
+    "ab_loop": lambda e, cfg, grid: [run_loop(cfg, grid, _ab_spec(e, cfg))],
+    "general_loop": lambda e, cfg, grid: [run_loop(
+        cfg, grid, replace(rectangle_loop_spec(cfg, e["height"], e["T"]), **_schedule(e)))],
+    "fig1": lambda e, cfg, grid: run_fig1_comparison(cfg, grid, e["phi_B"], e["T"],
+                                                      **_schedule(e)),
+}
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
@@ -230,16 +205,26 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _make_out(out: Path) -> None:
+    """Create --out, when the first file is written into it."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {out}: {exc.strerror}") from None
+
+
 def write_csv(path: Path, columns, rows, conf: dict) -> None:
     lines = [f"# config: {_config_line(conf)}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt_cell(v) for v in row))
+    _make_out(path.parent)
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: Path, payload: dict, conf: dict) -> None:
     payload = dict(payload)
     payload["config"] = conf
+    _make_out(path.parent)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -272,7 +257,7 @@ def cmd_eigen(conf: dict, out: Path, args) -> int:
 def cmd_run(conf: dict, out: Path, args) -> int:
     cfg = build_physics(conf)
     grid = build_grid(conf, cfg)
-    results = _EXPERIMENTS[conf["experiment"]["kind"]](conf, cfg, grid)
+    results = _EXPERIMENTS[conf["experiment"]["kind"]](conf["experiment"], cfg, grid)
     write_csv(out / "run.csv", ExperimentResult.CSV_COLUMNS,
               [r.csv_row() for r in results], conf)
     write_json(out / "run.json", {"results": [r.to_dict() for r in results]}, conf)
@@ -287,7 +272,7 @@ def cmd_sweep(conf: dict, out: Path, args) -> int:
     grid = build_grid(conf, cfg)
     e, s = conf["experiment"], conf["sweep"]
     phis = np.linspace(s["phi_min"], s["phi_max"], s["num"])
-    sweep = flux_sweep(cfg, grid, _ab_spec(conf, cfg), phis, e["min_fidelity"])
+    sweep = flux_sweep(cfg, grid, _ab_spec(e, cfg), phis)
     write_csv(out / "sweep.csv", ExperimentResult.CSV_COLUMNS,
               [r.csv_row() for r in sweep.rows], conf)
     write_json(out / "sweep.json", {
@@ -305,7 +290,8 @@ def cmd_sweep(conf: dict, out: Path, args) -> int:
 def cmd_study(conf: dict, out: Path, args) -> int:
     cfg = build_physics(conf)
     grid = build_grid(conf, cfg)
-    study = adiabatic_study(cfg, grid, _ab_spec(conf, cfg), conf["study"]["T_values"])
+    study = adiabatic_study(cfg, grid, _ab_spec(conf["experiment"], cfg),
+                            conf["study"]["T_values"])
     columns = ("T", "gamma_error", "infidelity", "gamma_raw_error", "discrepancy_norm")
     rows = [tuple(getattr(r, c) for c in columns) for r in study]
     write_csv(out / "study.csv", columns, rows, conf)
@@ -377,13 +363,6 @@ def _read_config(path: Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
-def _make_out(out: Path) -> None:
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot create directory {out}: {exc.strerror}") from None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -397,7 +376,6 @@ def main(argv=None) -> int:
 
     try:
         conf = resolve_config({} if args.config is None else _read_config(args.config))
-        _make_out(args.out)
         return _COMMANDS[args.command][0](conf, args.out, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,11 +180,6 @@ class PhysicsConfig:
         return 2.0 * np.pi * self.hbar * self.c / self.q
 
     @property
-    def magnetic_length(self) -> float:
-        """sqrt(hbar c / (q B))."""
-        return float(np.sqrt(self.hbar * self.c / (self.q * self.B)))
-
-    @property
     def translation_step(self) -> float:
         """y displacement quantum h c / (q B l).
 
@@ -251,10 +246,6 @@ class CylinderGrid:
     @property
     def dy(self) -> float:
         return (self.y_max - self.y_min) / self.Ny
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return np.arange(self.Nx) * self.dx
 
     @cached_property
     def y(self) -> np.ndarray:

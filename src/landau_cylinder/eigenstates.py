@@ -104,9 +104,10 @@ def displaced_gaussian(
     profiles = np.zeros((grid.Nx, grid.Ny), dtype=complex)
     # a level whose classical turning points leave the window keeps a zero row,
     # which the rule refuses without running the n-step recurrence (a negative n
-    # is left to hermite_profile, which refuses it)
-    reach = np.sqrt(max(2 * n + 1, 1) * cfg.hbar / (cfg.m * cfg.omega))
-    if not (center - reach < grid.y_min or center + reach > grid.y_max):
+    # is left to hermite_profile, which refuses it); the level is compared as an
+    # exact int, so one too large for any float is refused the same way
+    room = float(min(center - grid.y_min, grid.y_max - center))
+    if max(2 * n + 1, 1) <= room * abs(room) * cfg.m * cfg.omega / cfg.hbar:
         # a centre or momentum that is not finite gives NaNs, which the rule refuses
         with np.errstate(over="ignore", invalid="ignore"):
             profiles[row] = hermite_profile(cfg, grid.y, center, n) * np.exp(

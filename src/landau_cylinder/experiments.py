@@ -57,16 +57,13 @@ __all__ = [
     "adiabatic_study",
 ]
 
-DEFAULT_FIDELITY_GATE = 0.99
-
-
 def berry_phase(
     psi0: Wavefunction,
     psi_T: Wavefunction,
     energy: float,
     T: float,
     cfg: PhysicsConfig,
-    min_fidelity: float = DEFAULT_FIDELITY_GATE,
+    min_fidelity: float,
 ) -> tuple[float, float]:
     """(arg<psi0|psi(T)> + E T / hbar wrapped to (-pi, pi], return fidelity).
 
@@ -87,9 +84,11 @@ def berry_phase(
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """One cyclic transport experiment: geometry, schedule, initial state.
+    """One cyclic transport experiment: geometry, schedule, initial state,
+    and the return fidelity below which its phase is refused (berry_phase).
 
-    The builders set path and T; n, j and ramp_fraction are set only here.
+    The builders set path and T; n, j, ramp_fraction and min_fidelity are
+    set only here.
     """
 
     kind: str
@@ -98,6 +97,7 @@ class LoopSpec:
     n: int = 0
     j: int = 0
     ramp_fraction: float = 0.1
+    min_fidelity: float = 0.99
 
     def protocol(self, cfg: PhysicsConfig) -> DriveProtocol:
         return DriveProtocol.from_path(
@@ -178,7 +178,7 @@ class ExperimentResult:
         return asdict(self)
 
 
-def _run_spec(cfg: PhysicsConfig, grid: CylinderGrid, spec: LoopSpec, min_fidelity: float):
+def _run_spec(cfg: PhysicsConfig, grid: CylinderGrid, spec: LoopSpec):
     """Execute one loop experiment: (result, psi0, record)."""
     net = spec.path.net_displacement
     winding_f = net.rx / cfg.l
@@ -194,9 +194,8 @@ def _run_spec(cfg: PhysicsConfig, grid: CylinderGrid, spec: LoopSpec, min_fideli
     record = evolve_tdse(psi0, protocol)
 
     energy = landau_energy(cfg, spec.n)
-    gamma_raw, fidelity = berry_phase(
-        psi0, record.final_state, energy, spec.T, cfg, min_fidelity=min_fidelity
-    )
+    gamma_raw, fidelity = berry_phase(psi0, record.final_state, energy, spec.T, cfg,
+                                      spec.min_fidelity)
     drift_action = protocol.drift_action()
     gamma = wrap_angle(gamma_raw - drift_action)
 
@@ -223,34 +222,24 @@ def _run_spec(cfg: PhysicsConfig, grid: CylinderGrid, spec: LoopSpec, min_fideli
     return result, psi0, record
 
 
-def run_loop(
-    cfg: PhysicsConfig,
-    grid: CylinderGrid,
-    spec: LoopSpec,
-    min_fidelity: float = DEFAULT_FIDELITY_GATE,
-) -> ExperimentResult:
+def run_loop(cfg: PhysicsConfig, grid: CylinderGrid, spec: LoopSpec) -> ExperimentResult:
     """Drag the spec's eigenstate around its loop at the flux cfg.phi0."""
-    return _run_spec(cfg, grid, spec, min_fidelity)[0]
+    return _run_spec(cfg, grid, spec)[0]
 
 
 def run_fig1_comparison(
-    cfg: PhysicsConfig,
-    grid: CylinderGrid,
-    phi_B: float,
-    T: float,
-    min_fidelity: float = DEFAULT_FIDELITY_GATE,
-    **schedule,
+    cfg: PhysicsConfig, grid: CylinderGrid, phi_B: float, T: float, **schedule
 ) -> tuple[ExperimentResult, ExperimentResult]:
     """(blue, green): two loops, same threading flux, opposite contractible excursions.
 
     At phi = phi_B the blue loop (total enclosed flux phi + phi_B) returns
     zero geometric phase, while the green loop (total enclosed flux zero)
     returns 2 q phi / hbar c: the phase follows the winding flux minus the
-    surface flux, not the total.  `schedule` sets LoopSpec's n, j and
-    ramp_fraction; LoopSpec's own defaults stand for the rest.
+    surface flux, not the total.  `schedule` sets LoopSpec's n, j,
+    ramp_fraction and min_fidelity; LoopSpec's own defaults stand for the rest.
     """
     specs = (fig1_loop_spec(cfg, v, phi_B, T) for v in ("blue", "green"))
-    return tuple(run_loop(cfg, grid, replace(s, **schedule), min_fidelity) for s in specs)
+    return tuple(run_loop(cfg, grid, replace(s, **schedule)) for s in specs)
 
 
 @dataclass(frozen=True)
@@ -262,13 +251,7 @@ class SweepResult:
     intercept: float
 
 
-def flux_sweep(
-    cfg: PhysicsConfig,
-    grid: CylinderGrid,
-    spec: LoopSpec,
-    phi_values,
-    min_fidelity: float = DEFAULT_FIDELITY_GATE,
-) -> SweepResult:
+def flux_sweep(cfg: PhysicsConfig, grid: CylinderGrid, spec: LoopSpec, phi_values) -> SweepResult:
     """Run one loop over a flux grid; for a loop winding w times the ideal
     slope is w q / hbar c.
 
@@ -279,7 +262,7 @@ def flux_sweep(
     rows = []
     for phi in phi_values:
         try:
-            rows.append(run_loop(replace(cfg, phi0=float(phi)), grid, spec, min_fidelity))
+            rows.append(run_loop(replace(cfg, phi0=float(phi)), grid, spec))
         except (TruncationError, NonCyclicEvolutionError, ConfigError) as exc:
             blank = dict.fromkeys((f.name for f in fields(ExperimentResult)), float("nan"))
             rows.append(ExperimentResult(**{
@@ -331,7 +314,7 @@ def adiabatic_study(
     """
     rows = []
     for T in T_values:
-        result, psi0, record = _run_spec(cfg, grid, replace(spec, T=float(T)), 0.0)
+        result, psi0, record = _run_spec(cfg, grid, replace(spec, T=float(T), min_fidelity=0.0))
         ideal = psi0 * np.exp(1j * (result.gamma_predicted - result.dynamical_phase))
         rows.append(
             StudyRow(

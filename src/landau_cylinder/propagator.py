@@ -73,6 +73,8 @@ __all__ = [
 # rotation's potential factors well conditioned
 MAX_PIECE_ANGLE = np.pi / 2
 GAUSS_NODES = 10
+# most quadrature pieces _drive_integrals samples at once
+PIECE_BLOCK = 8192
 # evolve_oracle's longest sub-interval, as omega * h, and its Picard sweeps on
 # each: twelve already reach rounding with drive.CHEBYSHEV_NODES, eight do not
 ORACLE_PIECE_ANGLE = 1.0
@@ -183,7 +185,8 @@ def _drive_integrals(protocol: DriveProtocol, pieces: list) -> tuple[float, ...]
     Each piece of the time grid is integrated by GAUSS_NODES-point
     Gauss-Legendre, D's inner integral by the rule's interpolant (Q of
     _gauss_legendre), and D's cross terms between pieces from the running
-    sums of A and S.  The drive is sampled once per interval.
+    sums of A and S.  The drive is sampled once per block of at most
+    PIECE_BLOCK pieces of an interval, so memory stays flat in T.
     """
     cfg = protocol.cfg
     omega = cfg.omega
@@ -191,8 +194,10 @@ def _drive_integrals(protocol: DriveProtocol, pieces: list) -> tuple[float, ...]
     xi, w, q = _gauss_legendre()
     b0 = mode_well(cfg, 0, protocol.flux(0.0), protocol.efield(0.0)[1], 0.0)[0]
     A = S = G = D = F = 0.0
-    for t0, h, n in pieces:
-        t = t0 + h * (np.arange(n)[:, None] + 0.5 * (xi + 1.0))
+    blocks = ((t0, h, n, k) for t0, h, n in pieces for k in range(0, n, PIECE_BLOCK))
+    for t0, h, n, start in blocks:
+        stop = min(start + PIECE_BLOCK, n)
+        t = t0 + h * (np.arange(start, stop)[:, None] + 0.5 * (xi + 1.0))
         ey = protocol.efield(t)[1]
         b, c = mode_well(cfg, 0, protocol.flux(t), ey, 0.0)
         f = stiffness * (b - b0)

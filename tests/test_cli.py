@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from landau_cylinder import CylinderGrid, DriveProtocol, LoopSpec
+from landau_cylinder import CylinderGrid, DriveProtocol, LoopSpec, PhysicsConfig
 from landau_cylinder.cli import (
     _BOUNDS,
     DEFAULT_CONFIG,
@@ -18,7 +18,6 @@ from landau_cylinder.cli import (
     resolve_config,
 )
 from landau_cylinder.core import ConfigError
-from landau_cylinder.experiments import DEFAULT_FIDELITY_GATE
 from landau_cylinder import verify
 from landau_cylinder.verify import CHECKS, Check
 
@@ -79,10 +78,11 @@ def test_cli_defaults_are_the_library_defaults():
     # from_path's defaults; the CLI's defaults must stand for the same numbers
     conf = resolve_config({})
     cfg = build_physics(conf)
+    assert cfg == PhysicsConfig.reference(phi0=conf["physics"]["phi0"])
     assert build_grid(conf, cfg) == CylinderGrid.for_config(cfg)
     e = conf["experiment"]
-    assert e["min_fidelity"] == DEFAULT_FIDELITY_GATE
-    spec = {f.name: f.default for f in fields(LoopSpec) if f.name in ("n", "j", "ramp_fraction")}
+    spec = {f.name: f.default for f in fields(LoopSpec)
+            if f.name in ("n", "j", "ramp_fraction", "min_fidelity")}
     assert {k: e[k] for k in spec} == spec
     ramp = inspect.signature(DriveProtocol.from_path).parameters["ramp_fraction"].default
     assert e["ramp_fraction"] == ramp
@@ -256,6 +256,19 @@ def test_grid_build_error_exits_2(tmp_path, capsys):
     cfgfile = write_config(tmp_path, {"grid": grid})
     assert main(["--config", str(cfgfile), "--out", str(tmp_path / "out"), "run"]) == 2
     assert capsys.readouterr().err == "error: grid: Nx must be a power of two >= 8 (got 48)\n"
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"experiment": {"n": 10**9}}, "error: probability reached the y boundary in level 1000000000"),
+    ({"grid": {**DEFAULT_CONFIG["grid"], "Nx": 48}}, "error: grid: Nx must be a power of two"),
+], ids=["level", "grid"])
+def test_failed_command_leaves_no_out(tmp_path, capsys, payload, error):
+    # --out is created when the first file is written, so a command that
+    # fails before writing leaves no empty directory behind
+    out = tmp_path / "new"
+    assert main(["--config", str(write_config(tmp_path, payload)), "--out", str(out), "run"]) == 2
+    assert capsys.readouterr().err.startswith(error)
+    assert not out.exists()
 
 
 def test_eigen_output(tmp_path, capsys):

@@ -65,12 +65,11 @@ def test_config_allows_any_flux_sign():
 
 
 def test_config_derived_quantities():
-    # omega = qB/mc, flux quantum = 2 pi hbar c / q, l_B = sqrt(hbar c / qB),
+    # omega = qB/mc, flux quantum = 2 pi hbar c / q,
     # translation step = flux_quantum / (B l); plain formula applications
     c = PhysicsConfig(hbar=2.0, q=4.0, m=5.0, c=3.0, B=3.0, phi0=0.0, l=2.0)
     assert c.omega == pytest.approx(4.0 * 3.0 / (5.0 * 3.0))
     assert c.flux_quantum == pytest.approx(2 * np.pi * 2.0 * 3.0 / 4.0)
-    assert c.magnetic_length == pytest.approx(np.sqrt(2.0 * 3.0 / (4.0 * 3.0)))
     assert c.translation_step == pytest.approx(c.flux_quantum / (3.0 * 2.0))
 
 
@@ -79,7 +78,6 @@ def test_reference_geometry():
     assert cfg.omega == 1.0
     assert cfg.l == pytest.approx(2 * np.pi)
     assert cfg.flux_quantum == pytest.approx(2 * np.pi)
-    assert cfg.magnetic_length == 1.0
     assert cfg.translation_step == pytest.approx(1.0)
 
 
@@ -122,7 +120,6 @@ def test_grid_rejects_empty_window_and_non_positive_circumference():
 
 def test_grid_axes(cfg):
     g = CylinderGrid.for_config(cfg, Nx=16, Ny=64, y_min=-4.0, y_max=4.0)
-    assert g.x[0] == 0.0
     assert g.dx == pytest.approx(cfg.l / 16)
     assert g.y[0] == -4.0
     assert g.dy == pytest.approx(8.0 / 64)
@@ -270,9 +267,11 @@ def test_truncation_sees_four_edge_cells(cfg, grid, y_stats):
     # an n = 0 state near the top edge, whose mass in the last k cells (each
     # centred on its grid point) is the Gaussian tail erfc((y - c) / l_B) / 2
     # between y_max - (k + 1/2) dy and y_max - dy / 2
+    l_b = math.sqrt(cfg.hbar * cfg.c / (cfg.q * cfg.B))
+
     def tail_mass(center, cells):
         def above(y):
-            return 0.5 * math.erfc((y - center) / cfg.magnetic_length)
+            return 0.5 * math.erfc((y - center) / l_b)
 
         top = grid.y_max - 0.5 * grid.dy
         return above(top - cells * grid.dy) - above(top)

@@ -171,6 +171,9 @@ def test_huge_level_is_refused_before_its_recurrence(cfg, grid, monkeypatch):
     with pytest.raises(ConfigError, match="y boundary in level 1000000000 of mode 0"):
         displaced_gaussian(cfg, grid, 0, 0.0, n=10**9)
     assert time.perf_counter() - t0 < 0.5
+    # a level no float can hold is compared as an int, not converted
+    with pytest.raises(ConfigError, match="y boundary in level 1" + "0" * 400 + " of mode 0"):
+        displaced_gaussian(cfg, grid, 0, 0.0, n=10**400)
 
 
 def test_spectral_flow_identity(cfg, grid):

@@ -30,7 +30,7 @@ def test_berry_phase_recovers_injected_phase(cfg, grid):
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     gamma, E, T = 0.7, landau_energy(cfg, 0), 3.0
     psi_T = psi0 * np.exp(1j * (gamma - E * T / cfg.hbar))
-    phase, fidelity = berry_phase(psi0, psi_T, E, T, cfg)
+    phase, fidelity = berry_phase(psi0, psi_T, E, T, cfg, min_fidelity=0.99)
     assert phase == pytest.approx(gamma, abs=1e-13)
     assert fidelity == pytest.approx(1.0, abs=1e-13)
 
@@ -39,7 +39,7 @@ def test_berry_phase_gate(cfg, grid):
     psi0 = landau_eigenstate(cfg, grid, 0, 0)
     other = landau_eigenstate(cfg, grid, 0, 1)  # near-orthogonal return state
     with pytest.raises(NonCyclicEvolutionError):
-        berry_phase(psi0, other, 0.5, 1.0, cfg)
+        berry_phase(psi0, other, 0.5, 1.0, cfg, min_fidelity=0.99)
     # bypassed gate must not raise, and reports the fidelity it let through
     assert berry_phase(psi0, other, 0.5, 1.0, cfg, min_fidelity=0.0)[1] < 0.99
 
@@ -145,7 +145,8 @@ def test_mirrored_loop_isolates_winding_phase(cfg, grid, loop, phi):
     }[loop]()
     winding = round(spec.path.net_displacement.rx / cfg.l)
     there, back = (
-        run_loop(cfg, grid, s, min_fidelity=0.0).gamma_raw for s in (spec, mirrored(spec))
+        run_loop(cfg, grid, replace(s, min_fidelity=0.0)).gamma_raw
+        for s in (spec, mirrored(spec))
     )
     odd = wrap_angle(there - back - 2.0 * cfg.q * winding * phi / (cfg.hbar * cfg.c))
     assert abs(odd) <= 1e-12
@@ -169,7 +170,7 @@ def test_csv_row_order():
 
 def test_flux_sweep_slope(cfg, grid):
     phis = np.linspace(0.0, 2 * np.pi, 5)
-    sw = flux_sweep(cfg, grid, ab_loop_spec(cfg, T=25.0), phis, min_fidelity=0.0)
+    sw = flux_sweep(cfg, grid, replace(ab_loop_spec(cfg, T=25.0), min_fidelity=0.0), phis)
     assert [r.phi for r in sw.rows] == list(phis)
     assert sw.slope == pytest.approx(1.0, abs=1e-6)
     assert all(r.gamma_unwrapped is not None for r in sw.rows)
@@ -178,7 +179,7 @@ def test_flux_sweep_slope(cfg, grid):
 def test_flux_sweep_records_row_failures(cfg, grid):
     phis = [0.0, np.pi]
     # the gate cannot pass
-    sw = flux_sweep(cfg, grid, ab_loop_spec(cfg, T=25.0), phis, min_fidelity=1.0)
+    sw = flux_sweep(cfg, grid, replace(ab_loop_spec(cfg, T=25.0), min_fidelity=1.0), phis)
     assert all(r.error is not None for r in sw.rows)
     assert np.isnan(sw.slope)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -503,6 +504,20 @@ def test_evolution_record_contents(cfg, grid, y_stats):
     # coherent ring left by the ramp, amplitude ~ drift speed / omega = 0.06
     y_mean = y_stats(rec.final_state.to_modes().profiles, grid)[0]
     assert y_mean == pytest.approx(mode_center(cfg, 0) + 1.5, abs=0.12)
+
+
+def test_memory_is_flat_in_duration(cfg, grid):
+    # the drive is sampled in blocks of pieces: a whole interval at once
+    # peaked near 100 MB here, and grew linearly with T
+    psi0 = landau_eigenstate(cfg, grid, 0, 0)
+    protocol = ab_loop_spec(cfg, T=2e5).protocol(cfg)
+    tracemalloc.start()
+    try:
+        evolve_tdse(psi0, protocol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_truncation_guard_fires(cfg, grid):
