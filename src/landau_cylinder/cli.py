@@ -41,7 +41,6 @@ from .experiments import (
     run_loop,
 )
 from .propagator import apply_hamiltonian
-from .verify import run_all_checks
 
 __all__ = ["main", "DEFAULT_CONFIG", "resolve_config"]
 
@@ -309,6 +308,9 @@ def cmd_study(conf: dict, out: Path, args) -> int:
 
 
 def cmd_verify(conf: dict, out: Path, args) -> int:
+    # imported here, so that no other command pays for the self-check table
+    from .verify import run_all_checks
+
     results = run_all_checks(seed=args.seed)
     # a fixed width, that of the longest name, so a new row re-pads no old line
     for name, ok, detail in results:

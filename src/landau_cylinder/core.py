@@ -225,6 +225,9 @@ class CylinderGrid:
                 raise ConfigError(f"{name} must be finite (got {value!r})")
         if not self.y_min < self.y_max:
             raise ConfigError(f"y_min must be below y_max (got {self.y_min}, {self.y_max})")
+        # a width that overflows would make dy infinite
+        if not math.isfinite(self.y_max - self.y_min):
+            raise ConfigError(f"y_max - y_min must be finite (got {self.y_max - self.y_min!r})")
         if self.l <= 0:
             raise ConfigError(f"l must be positive (got {self.l})")
 

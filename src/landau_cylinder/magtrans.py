@@ -55,8 +55,6 @@ from .core import (OCCUPATION_THRESHOLD, ConfigError, ModeStack, PhysicsConfig, 
 __all__ = [
     "Displacement",
     "PathPolyline",
-    "translate_x",
-    "translate_y",
     "apply_displacement",
     "compose_phase",
     "TranslationResult",
@@ -155,99 +153,39 @@ class PathPolyline:
         return PathPolyline.from_points(pts)
 
 
-class _ModeBasis:
-    """A state in the (mode, k_y) basis, where every factor of a magnetic
-    translation is a phase per mode row, a phase per k_y column or a roll
-    of the rows.  The state is stored by mode row, so one FFT along y
-    brings it in, and one brings it back (wavefunction)."""
-
-    def __init__(self, psi: Wavefunction, cfg: PhysicsConfig) -> None:
-        self.cfg = cfg
-        self.grid = psi.grid
-        self.theta = psi.mode_offset
-        self.spec = np.fft.fft(psi.profiles, axis=1)
-        # in grid units, as check_window's total
-        weights = psi.to_modes().mode_norms_sq() / self.grid.dy
-        # the factors keep each row's probability and the roll moves it with
-        # the row, so the rows that hold probability are found once
-        self.occupied = weights > OCCUPATION_THRESHOLD * weights.sum()
-        self.skipped = weights[~self.occupied].sum()
-
-    def shift_x(self, rx: float, phase: float = 0.0) -> None:
-        """x shift by rx, times the c-number e^{i phase}.
-
-        Row j gets exp(-2 pi i mod(j rx / l, 1)), the pure shift, with the
-        angle kept in [0, 1) turns so large rx does not degrade it; every row
-        gets the flux phase exp(i q rx phi / hbar l c) and the offset phase
-        exp(-2 pi i theta rx / l).
-        """
-        cfg, l = self.cfg, self.grid.l
-        turns = np.mod(self.grid.mode_numbers * (rx / l), 1.0)
+def _translate(psi: Wavefunction, segments, cfg: PhysicsConfig) -> Wavefunction:
+    """The ordered product of M(seg) (apply_displacement) over segments,
+    applied to psi in the (mode, k_y) basis.  Angles are kept in turns in
+    [0, 1), so large shifts do not degrade them."""
+    grid, l = psi.grid, psi.grid.l
+    theta = psi.mode_offset
+    spec = np.fft.fft(psi.profiles, axis=1)
+    # in grid units, as check_window's total
+    weights = psi.to_modes().mode_norms_sq() / grid.dy
+    # the factors keep each row's probability and the roll moves it with
+    # the row, so the rows that hold probability are found once
+    occupied = weights > OCCUPATION_THRESHOLD * weights.sum()
+    skipped = weights[~occupied].sum()
+    for seg in segments:
+        rx, ry = seg.rx, seg.ry
+        # x: row j gets exp(-2 pi i mod(j rx / l, 1)), every row the flux,
+        # composition and offset phases
+        turns = np.mod(grid.mode_numbers * (rx / l), 1.0)
+        phase = 0.5 * cfg.q * cfg.B * rx * ry / (cfg.hbar * cfg.c)
         scalar = np.exp(1j * (cfg.q * rx * cfg.phi0 / (cfg.hbar * l * cfg.c) + phase))
-        scalar *= np.exp(-2j * np.pi * self.theta * rx / l)
-        self.spec *= (np.exp(-2j * np.pi * turns) * scalar)[:, None]
-
-    def shift_y(self, ry: float) -> None:
-        """y shift by ry, judged by the window rule, then the gauge factor.
-
-        The shift is a phase per k_y column, exp(-i k_y ry), again in turns.
-        The window is judged on the shifted y profiles of the occupied rows
-        (OCCUPATION_THRESHOLD), one inverse y FFT of those rows; the other
-        rows' probability counts as edge and as seam probability
-        (core.check_window), so no verdict is looser than one on every row.
-        The gauge factor exp(-i q B ry x / hbar c) is a roll of the rows by
-        the integer part of its slope plus a new offset
-        (core.split_linear_phase).
-        """
-        cfg, grid = self.cfg, self.grid
-        turns = np.mod(np.fft.fftfreq(grid.Ny) * (ry / grid.dy), 1.0)  # k_y ry / 2 pi
-        self.spec *= np.exp(-2j * np.pi * turns)
-        check_window(np.fft.ifft(self.spec[self.occupied], axis=1), grid,
-                     f"the state translated by ry = {ry:g}", ry, skipped=self.skipped)
+        scalar *= np.exp(-2j * np.pi * theta * rx / l)
+        spec *= (np.exp(-2j * np.pi * turns) * scalar)[:, None]
+        # y: column k_y gets exp(-i k_y ry)
+        turns = np.mod(np.fft.fftfreq(grid.Ny) * (ry / grid.dy), 1.0)
+        spec *= np.exp(-2j * np.pi * turns)
+        check_window(np.fft.ifft(spec[occupied], axis=1), grid,
+                     f"the state translated by ry = {ry:g}", ry, skipped=skipped)
         alpha = -cfg.q * cfg.B * ry / (cfg.hbar * cfg.c)
-        m, self.theta = split_linear_phase(self.theta, alpha, grid.l)
+        m, theta = split_linear_phase(theta, alpha, l)
         if m:
-            self.spec = np.roll(self.spec, m, axis=0)
-            self.occupied = np.roll(self.occupied, m)
-
-    def displace(self, disp: Displacement) -> None:
-        """M(disp): the x shift with the composition phase q B rx ry / 2 hbar c, then the y shift."""
-        cfg = self.cfg
-        self.shift_x(disp.rx, 0.5 * cfg.q * cfg.B * disp.rx * disp.ry / (cfg.hbar * cfg.c))
-        self.shift_y(disp.ry)
-
-    def wavefunction(self) -> Wavefunction:
-        profiles = np.fft.ifft(self.spec, axis=1)
-        return Wavefunction.from_modes(ModeStack(self.grid, profiles, self.theta))
-
-
-def translate_x(psi: Wavefunction, rx: float, cfg: PhysicsConfig) -> Wavefunction:
-    """Magnetic translation around the cylinder by rx.
-
-    Exact on the grid: a phase per mode row, and the flux phase is a single
-    complex factor.  A full loop rx = l multiplies the state by
-    exp(i q phi / hbar c) and nothing else.
-    """
-    state = _ModeBasis(psi, cfg)
-    state.shift_x(rx)
-    return state.wavefunction()
-
-
-def translate_y(psi: Wavefunction, ry: float, cfg: PhysicsConfig) -> Wavefunction:
-    """Magnetic translation along the axis by ry.
-
-    Spectral y shift of every mode profile followed by the gauge phase
-    exp(-i q B ry x / hbar c).  The phase is quantized (offset preserving)
-    iff B l ry is an integer number of flux quanta; then the mode index
-    ladder shifts by that integer.  The axis is infinite but the window is
-    not, and the grid's shift is periodic: probability that the shift
-    carries across the window's seam, or leaves at its edge cells, raises
-    TruncationError (core.check_window), instead of a state wrapped to the
-    other end of the window.
-    """
-    state = _ModeBasis(psi, cfg)
-    state.shift_y(ry)
-    return state.wavefunction()
+            spec = np.roll(spec, m, axis=0)
+            occupied = np.roll(occupied, m)
+    return Wavefunction.from_modes(ModeStack(grid, np.fft.ifft(spec, axis=1), theta))
 
 
 def compose_phase(r1: Displacement, r2: Displacement, cfg: PhysicsConfig) -> float:
@@ -256,16 +194,21 @@ def compose_phase(r1: Displacement, r2: Displacement, cfg: PhysicsConfig) -> flo
 
 
 def apply_displacement(psi: Wavefunction, disp: Displacement, cfg: PhysicsConfig) -> Wavefunction:
-    """Mixed magnetic translation M(disp) = exp(-(i/hbar) P . disp).
+    """Magnetic translation M(disp) = exp(-(i/hbar) P . disp).
 
-    Implemented as the x translation followed by the y translation with the
-    composition phase folded in, which reproduces the generator form
-    exactly (the commutator of the two generators is the c-number
-    i q B rx ry / hbar c).
+    The x shift by rx times the composition phase q B rx ry / 2 hbar c,
+    then the y shift by ry, then the gauge factor exp(-i q B ry x / hbar c);
+    that reproduces the generator form exactly, since the two generators
+    commute to the c-number i q B rx ry / hbar c.  A full loop
+    disp = (l, 0) multiplies the state by exp(i q phi / hbar c) and nothing
+    else; a y shift by an integer number of translation steps relabels the
+    modes and keeps the offset.  The axis is infinite but the window is
+    not, and the grid's y shift is periodic: every translation, x-only ones
+    included, is judged by the window rule (core.check_window), so
+    probability at the window's edge cells, or carried across its seam,
+    raises TruncationError instead of a state wrapped to the other end.
     """
-    state = _ModeBasis(psi, cfg)
-    state.displace(disp)
-    return state.wavefunction()
+    return _translate(psi, (disp,), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,21 +245,20 @@ def sequential_translation(
 ) -> tuple[Wavefunction, float]:
     """Apply the path segment by segment, accumulating composition phases.
 
-    Independent code path used to cross-check path_ordered_translation.
-    The returned state is the literal ordered operator product (composition
+    Used to cross-check path_ordered_translation's closed form.  The
+    returned state is the literal ordered operator product (composition
     phases and all); the returned float is the phase predicted by summing
     the pairwise composition identity along the way.  Consistency demands
     state = exp(i phase) M(net) psi with phase = -(q / hbar c) B S.
-    Every segment's y shift is judged by translate_y's window rule, so a
+    Every segment is judged by apply_displacement's window rule, so a
     vertex that leaves the window, or a segment that carries the state
     across its seam, raises TruncationError even when the endpoints and
     the net translation fit.
     """
-    state = _ModeBasis(psi, cfg)
+    segments = path.segments
     reached = Displacement(0.0, 0.0)
     phase = 0.0
-    for seg in path.segments:
-        state.displace(seg)
+    for seg in segments:
         phase += compose_phase(reached, seg, cfg)
         reached = reached + seg
-    return state.wavefunction(), phase
+    return _translate(psi, segments, cfg), phase

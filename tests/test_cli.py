@@ -36,12 +36,20 @@ def write_config(tmp_path, payload):
     return p
 
 
-def test_oracle_and_drift_checks_run_without_scipy():
-    # scipy is a test dependency only: with it unimportable, the CLI starts
-    # and the two rows that integrate the drive outside evolve_tdse pass
+def run_python(code: str) -> str:
+    """Stdout of a fresh interpreter running code against this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+def test_oracle_and_drift_checks_run_without_scipy():
+    # scipy is a test dependency only: with it unimportable, the CLI starts
+    # and the two rows that integrate the drive outside evolve_tdse pass
     code = (
         "import sys; sys.modules['scipy'] = None\n"
         "import landau_cylinder.cli\n"
@@ -50,13 +58,18 @@ def test_oracle_and_drift_checks_run_without_scipy():
         "    if c.name in ('oracle_equivalence', 'drift_quadrature'):\n"
         "        print(c.name, *c.run(c.full if c.quick is None else c.quick, c.seed))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    rows = out.stdout.splitlines()
+    rows = run_python(code).splitlines()
     assert [row.split()[:2] for row in rows] == [
         ["oracle_equivalence", "True"], ["drift_quadrature", "True"]
     ], rows
+
+
+def test_cli_import_leaves_the_self_checks_out():
+    # only `verify` needs the self-check table; every other command starts without it
+    code = ("import sys\n"
+            "from landau_cylinder import cli\n"
+            "print('landau_cylinder.verify' in sys.modules)\n")
+    assert run_python(code) == "False\n"
 
 
 # --- config resolution -------------------------------------------------
@@ -143,6 +156,9 @@ CONFIG_MESSAGES = [
     ("grid.y_max1", {"grid": {**_GRID, "y_max": float("-inf")}}, "grid.y_max: must be finite"),
     ("grid.y_min1", {"grid": {**_GRID, "y_min": 12.0}},
      "grid.y_min: must be strictly below grid.y_max"),
+    # each bound is finite, their difference is not
+    ("grid.width", {"grid": {**_GRID, "y_min": -1e308, "y_max": 1e308}},
+     "grid: y_max - y_min must be finite (got inf)"),
     ("experiment.kind0", {"experiment": {"kind": "mystery"}},
      f"experiment.kind: must be one of {_KINDS}"),
     ("experiment.kind1", {"experiment": {"kind": None}},
@@ -189,8 +205,10 @@ CONFIG_MESSAGES = [
 @pytest.mark.parametrize("raw, message", [row[1:] for row in CONFIG_MESSAGES],
                          ids=[row[0] for row in CONFIG_MESSAGES])
 def test_config_error_messages(raw, message):
+    # some errors show only when the physics and the grid are built
     with pytest.raises(ConfigError) as info:
-        resolve_config(raw)
+        conf = resolve_config(raw)
+        build_grid(conf, build_physics(conf))
     assert str(info.value) == message
 
 

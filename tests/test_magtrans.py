@@ -23,8 +23,6 @@ from landau_cylinder import (
     path_ordered_translation,
     rectangle_loop_spec,
     sequential_translation,
-    translate_x,
-    translate_y,
 )
 from landau_cylinder.core import check_window
 
@@ -147,7 +145,7 @@ def test_translate_x_on_eigenstate(cfg, grid):
     # mode j picks up e^{i q d phi / hbar l c} e^{-i kappa_j d}
     psi = landau_eigenstate(cfg, grid, 0, 1)
     d = 0.37
-    moved = translate_x(psi, d, cfg)
+    moved = apply_displacement(psi, Displacement(d, 0.0), cfg)
     kappa = 2 * np.pi / cfg.l
     expected = np.exp(1j * (cfg.q * d * cfg.phi0 / (cfg.hbar * cfg.l * cfg.c) - kappa * d))
     overlap = inner_product(psi, moved)
@@ -156,7 +154,7 @@ def test_translate_x_on_eigenstate(cfg, grid):
 
 def test_translate_x_full_circumference_is_flux_phase(cfg, grid, make_state, rng):
     psi = make_state(rng)
-    moved = translate_x(psi, cfg.l, cfg)
+    moved = apply_displacement(psi, Displacement(cfg.l, 0.0), cfg)
     expected = psi * np.exp(1j * cfg.flux_phase(cfg.phi0))
     np.testing.assert_allclose(moved.amplitudes, expected.amplitudes, atol=1e-13)
 
@@ -164,7 +162,7 @@ def test_translate_x_full_circumference_is_flux_phase(cfg, grid, make_state, rng
 def test_translate_y_quantized_step_maps_modes(cfg, grid):
     # shifting by one translation step relabels j -> j - 1 exactly
     psi = landau_eigenstate(cfg, grid, 0, 0)
-    moved = translate_y(psi, cfg.translation_step, cfg)
+    moved = apply_displacement(psi, Displacement(0.0, cfg.translation_step), cfg)
     target = landau_eigenstate(cfg, grid, 0, -1)
     assert moved.mode_offset == 0.0
     assert abs(inner_product(target, moved)) == pytest.approx(1.0, abs=1e-12)
@@ -172,7 +170,7 @@ def test_translate_y_quantized_step_maps_modes(cfg, grid):
 
 def test_translate_y_moves_center(cfg, grid, y_stats):
     psi = landau_eigenstate(cfg, grid, 1, 0)
-    moved = translate_y(psi, 0.63, cfg)
+    moved = apply_displacement(psi, Displacement(0.0, 0.63), cfg)
     y_mean = y_stats(moved.to_modes().profiles, grid)[0]
     assert y_mean == pytest.approx(mode_center(cfg, 0) + 0.63, abs=1e-9)
 
@@ -180,7 +178,7 @@ def test_translate_y_moves_center(cfg, grid, y_stats):
 def test_translate_y_truncation_guard(cfg, grid):
     psi = landau_eigenstate(cfg, grid, 0, 0)
     with pytest.raises(TruncationError):
-        translate_y(psi, 11.0, cfg)
+        apply_displacement(psi, Displacement(0.0, 11.0), cfg)
 
 
 def test_translate_y_refuses_a_shift_across_the_seam(grid):
@@ -191,7 +189,7 @@ def test_translate_y_refuses_a_shift_across_the_seam(grid):
     psi = landau_eigenstate(cfg, grid, 0, 0)
     for ry in (20.0, -20.0):
         with pytest.raises(TruncationError, match=f"translated by ry = {ry:g};"):
-            translate_y(psi, ry, cfg)
+            apply_displacement(psi, Displacement(0.0, ry), cfg)
         with pytest.raises(TruncationError):
             apply_displacement(psi, Displacement(1.0, ry), cfg)
 
@@ -243,12 +241,27 @@ def test_mixed_order_conventions_agree(cfg, grid, make_state, rng):
     psi = make_state(rng)
     r = Displacement(0.7, -0.45)
     via_api = apply_displacement(psi, r, cfg)
-    ty_first = translate_x(translate_y(psi, r.ry, cfg), r.rx, cfg)
+    y_first = apply_displacement(psi, Displacement(0.0, r.ry), cfg)
+    ty_first = apply_displacement(y_first, Displacement(r.rx, 0.0), cfg)
     other = ty_first * np.exp(-0.5j * cfg.q * cfg.B * r.rx * r.ry / (cfg.hbar * cfg.c))
     np.testing.assert_allclose(via_api.amplitudes, other.amplitudes, atol=1e-11)
 
 
 # --- path-ordered products ----------------------------------------------
+
+
+def test_one_segment_sequential_translation_is_apply_displacement(cfg, grid, make_state, rng):
+    # both run the same segment loop, so a one-segment path gives the same bits
+    psi = make_state(rng)
+    lifted = apply_displacement(psi, Displacement(0.0, 0.45), cfg)
+    assert lifted.mode_offset != 0.0
+    disp = Displacement(0.7, -0.35)
+    path = PathPolyline(((0.0, 0.0), (disp.rx, disp.ry)))
+    for state in (psi, lifted):
+        direct = apply_displacement(state, disp, cfg)
+        seq, _ = sequential_translation(state, path, cfg)
+        assert np.array_equal(seq.profiles, direct.profiles)
+        assert seq.mode_offset == direct.mode_offset
 
 
 def test_path_ordered_telescopes(cfg, grid, make_state, rng):
@@ -321,7 +334,7 @@ def _shift(u, cells, axis, phases):
 
 
 def reference_translate_x(psi, rx, cfg):
-    """translate_x as an FFT pair along x (or a roll) on the reduced amplitudes."""
+    """The x shift M(rx, 0) as an FFT pair along x (or a roll) on the reduced amplitudes."""
     grid = psi.grid
     flux_phase = np.exp(1j * cfg.q * rx * cfg.phi0 / (cfg.hbar * grid.l * cfg.c))
     offset_phase = np.exp(-2j * np.pi * psi.mode_offset * rx / grid.l)
@@ -331,7 +344,7 @@ def reference_translate_x(psi, rx, cfg):
 
 
 def reference_translate_y(psi, ry, cfg):
-    """translate_y as an FFT pair along y (or a roll), the window judged on
+    """The y shift M(0, ry) as an FFT pair along y (or a roll), the window judged on
     every x row, then the gauge phase multiplied in x space."""
     grid = psi.grid
     u = _shift(psi.amplitudes, ry / grid.dy, 1, np.exp(-1j * grid.ky * ry)[None, :])
@@ -360,8 +373,10 @@ def assert_matches_reference(new, old):
 
 
 def check_against_reference(psi, cfg, rx, ry, path=None):
-    assert_matches_reference(translate_x(psi, rx, cfg), reference_translate_x(psi, rx, cfg))
-    assert_matches_reference(translate_y(psi, ry, cfg), reference_translate_y(psi, ry, cfg))
+    assert_matches_reference(apply_displacement(psi, Displacement(rx, 0.0), cfg),
+                             reference_translate_x(psi, rx, cfg))
+    assert_matches_reference(apply_displacement(psi, Displacement(0.0, ry), cfg),
+                             reference_translate_y(psi, ry, cfg))
     disp = Displacement(rx, ry)
     assert_matches_reference(apply_displacement(psi, disp, cfg),
                              reference_apply_displacement(psi, disp, cfg))
@@ -398,7 +413,7 @@ def test_translations_match_the_reference_across_the_nyquist_edge(grid):
     amps = sum(c * landau_eigenstate(cfg, grid, n, j).amplitudes
                for n, j, c in ((0, 31, 1.0), (1, 30, 0.5j), (2, 29, -0.7)))
     psi = Wavefunction(grid, amps, 0.0).normalized()
-    moved = translate_y(psi, -cfg.translation_step, cfg)
+    moved = apply_displacement(psi, Displacement(0.0, -cfg.translation_step), cfg)
     norms = moved.to_modes().mode_norms_sq()
     assert norms[grid.mode_row(-32)] == pytest.approx(1.0 / 1.74, abs=1e-12)
     path = PathPolyline(((0.0, 0.0), (0.4, -1.0), (0.9, -1.5)))

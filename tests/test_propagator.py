@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from landau_cylinder import (
     ConfigError,
     CylinderGrid,
+    Displacement,
     DriveProtocol,
     PathPolyline,
     TruncationError,
     ab_loop_spec,
+    apply_displacement,
     apply_hamiltonian,
     displaced_gaussian,
     evolve_oracle,
@@ -27,7 +29,6 @@ from landau_cylinder import (
     mode_center,
     mode_well,
     rectangle_loop_spec,
-    translate_y,
     wrap_angle,
 )
 from landau_cylinder import propagator
@@ -209,7 +210,7 @@ def stepper_case(cfg, grid, case):
         # open drive ends at R_x = 1.3, no multiple of l, so each row's -delta F
         # term in G moves its phase; on two_rows' closed loop that term is
         # -2 pi hbar w j and leaves the phase as it is
-        psi0 = translate_y(psi0, 0.3, cfg)
+        psi0 = apply_displacement(psi0, Displacement(0.0, 0.3), cfg)
         path = PathPolyline(((0.0, 0.0), (0.9, 0.5), (1.3, -0.2)))
         proto = DriveProtocol.from_path(cfg, path, T=6.0)
     return psi0, proto

@@ -30,16 +30,16 @@ def test_verdict_fails_a_nan_and_raises_on_an_empty_gate():
 
 
 def test_nan_translation_fails_criterion_1(monkeypatch):
-    real = verify.translate_x
+    real = verify.apply_displacement
 
-    def nan_translate(psi, shift, cfg):
-        out = real(psi, shift, cfg)
+    def nan_translate(psi, disp, cfg):
+        out = real(psi, disp, cfg)
         amps = out.amplitudes
         amps[0, 0] = np.nan
         return Wavefunction(out.grid, amps, out.mode_offset)
 
     assert _quick("topological_operator_phase")[0]
-    monkeypatch.setattr(verify, "translate_x", nan_translate)
+    monkeypatch.setattr(verify, "apply_displacement", nan_translate)
     ok, detail = _quick("topological_operator_phase")
     assert not ok
     assert "worst deviation nan" in detail
